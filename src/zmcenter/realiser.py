@@ -11,7 +11,8 @@ Verification:
   * forward  - every divisor N1 of N is realized by shrinking the b-part of
     each factor to q^(a + beta); the closed form always sits in its
     guaranteed regime here, and small factors are cross-checked against the
-    fixed-point oracle.
+    fixed-point oracle.  The factor triple depends only on beta, so each
+    distinct triple goes through `abscenter.compare` once per verification.
   * converse - subgroups of a coprime direct product split as products of
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
@@ -286,27 +287,25 @@ def verify_forward(
 ) -> tuple[ForwardRow, ...]:
     """One row per divisor N1 of N: the per-factor closed forms must
     multiply to N1, and every factor small enough is cross-checked against
-    the fixed-point oracle.  Failures are recorded, never raised."""
+    the fixed-point oracle.  Disagreements are recorded, never raised.
+
+    A factor triple depends only on the exponent of its q in N1, so many
+    divisors share it; each distinct triple is compared once per call.
+    """
+    compared: dict[ZmTriple, ForwardFactorRow] = {}
     rows = []
     for n1 in factorize(cert.N).divisors():
         factor_rows = []
         for t in subgroup_for_divisor(cert, n1):
-            formula = abscenter.absolute_center_formula(t, bounds.oracle)
-            oracle_order: int | None = None
-            agree: bool | None = None
-            if t.order <= bounds.oracle:
-                oracle = abscenter.absolute_center_oracle(t, bounds.oracle)
-                oracle_order = len(oracle)
-                span = {t.power(formula.generator, k) for k in range(formula.order)}
-                agree = oracle == span
-            factor_rows.append(
-                ForwardFactorRow(
+            if t not in compared:
+                cmp = abscenter.compare(t, bounds.oracle)
+                compared[t] = ForwardFactorRow(
                     triple=t,
-                    formula_order=formula.order,
-                    oracle_order=oracle_order,
-                    agree=agree,
+                    formula_order=cmp.formula_order,
+                    oracle_order=cmp.oracle_order,
+                    agree=cmp.agree,
                 )
-            )
+            factor_rows.append(compared[t])
         formula_product = math.prod(fr.formula_order for fr in factor_rows)
         oracle_product = None
         if all(fr.oracle_order is not None for fr in factor_rows):

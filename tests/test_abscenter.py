@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from zmcenter import abscenter, aut
+from slow_reference import reference_absolute_center_formula
+from zmcenter import abscenter, aut, cli
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import geometric_sum_mod
-from zmcenter.zm import ZmElement, validate_triple
+from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
 
 
 class TestExponentE:
@@ -154,3 +155,39 @@ class TestDivisibilityScan:
         for t in small_triples:
             for s in range(1, t.n + 1):
                 assert geometric_sum_mod(t.r, t.d * s, t.m) == 0
+
+
+class TestFoldedFixednessCheck:
+    def test_per_member_recheck_and_oracle_membership_agree(self):
+        # the per-member recheck the closed form used to run, and the
+        # "generator is an oracle fixed point" check that replaced it
+        checked = 0
+        for t in iter_valid_triples(200):
+            result = reference_absolute_center_formula(t)
+            assert result.generator in abscenter.absolute_center_oracle(t), t
+            checked += 1
+        assert checked > 100
+
+    @pytest.fixture
+    def oracle_missing_generator(self, monkeypatch):
+        real_oracle = abscenter.absolute_center_oracle
+
+        def broken(t, *args, **kwargs):
+            generator = abscenter.absolute_center_formula(t).generator
+            return real_oracle(t, *args, **kwargs) - {generator}
+
+        monkeypatch.setattr(abscenter, "absolute_center_oracle", broken)
+
+    def test_compare_raises(self, oracle_missing_generator, zm_5_16_2, zm_5_4_2):
+        for t in (zm_5_16_2, zm_5_4_2):
+            with pytest.raises(RuntimeError):
+                abscenter.compare(t)
+
+    def test_out_of_bound_triples_are_not_checked(self, oracle_missing_generator, zm_5_16_2):
+        cmp = abscenter.compare(zm_5_16_2, oracle_bound=79)
+        assert cmp.oracle_order is None and cmp.agree is None
+
+    def test_verify_does_not_pass(self, oracle_missing_generator, capsys):
+        with pytest.raises(RuntimeError):
+            cli.main(["verify", "4", "--json"])
+        assert '"pass": true' not in capsys.readouterr().out

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from zmcenter import realiser
+from slow_reference import reference_verify_forward
+from zmcenter import abscenter, realiser
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError
 from zmcenter.numtheory import factorize
@@ -142,6 +143,33 @@ class TestVerifyForward:
         assert all(row.passed for row in rows)
         big = [fr for row in rows for fr in row.factors if fr.triple.order > 2000]
         assert big and all(fr.oracle_order is None and fr.agree is None for fr in big)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 30, 720, 5040, 720720])
+    def test_matches_unmemoised_reference(self, n):
+        cert = realiser.realise(n)
+        rows = realiser.verify_forward(cert)
+        reference = reference_verify_forward(cert)
+        assert len(rows) == len(reference)
+        for row, ref in zip(rows, reference):
+            assert row == ref
+
+    def test_each_distinct_triple_compared_once_per_call(self, monkeypatch):
+        compared = []
+        real_compare = abscenter.compare
+
+        def counting(t, *args, **kwargs):
+            compared.append(t)
+            return real_compare(t, *args, **kwargs)
+
+        monkeypatch.setattr(abscenter, "compare", counting)
+        cert = realiser.realise(720720)
+        rows = realiser.verify_forward(cert)
+        distinct = {fr.triple for row in rows for fr in row.factors}
+        assert len(distinct) == 16
+        assert sorted(compared, key=str) == sorted(distinct, key=str)
+        # no state survives the call: a second verification compares again
+        assert realiser.verify_forward(cert) == rows
+        assert len(compared) == 2 * len(distinct)
 
 
 class TestVerifyConverse:
