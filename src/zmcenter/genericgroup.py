@@ -88,22 +88,25 @@ class CayleyGroup:
         return tuple(self.element_order(i) for i in range(self.order))
 
     def closure(self, seed: frozenset[int] | set[int]) -> frozenset[int]:
-        """Subgroup generated by the seed (products suffice: the group is
-        finite, so inverses arrive as powers)."""
-        members = {self.identity_index} | set(seed)
-        elems = sorted(members)
-        queue = list(elems)
+        """Subgroup generated by the seed, by a search of its Cayley graph
+        from the identity: each newly reached element is multiplied on the
+        right by the seed elements only, so the cost is O(|result| * |seed|).
+
+        The search reaches every product of seed elements.  That is the
+        whole generated subgroup: the group is finite, so each inverse
+        g^-1 = g^(ord g - 1) is itself such a product.
+        """
+        gens = tuple(set(seed))
+        table = self.table
+        members = {self.identity_index}
+        queue = [self.identity_index]
         while queue:
-            x = queue.pop()
-            idx = 0
-            while idx < len(elems):
-                y = elems[idx]
-                idx += 1
-                for z in (self.table[x][y], self.table[y][x]):
-                    if z not in members:
-                        members.add(z)
-                        elems.append(z)
-                        queue.append(z)
+            row = table[queue.pop()]
+            for g in gens:
+                z = row[g]
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
         return frozenset(members)
 
     def dump_table(self) -> str:

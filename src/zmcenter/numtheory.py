@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SearchBudgetError
+from .errors import BoundExceededError, SearchBudgetError
 from .config import DEFAULT_BOUNDS
 
-# Witness set covering every n < 3.3 * 10^24 (in particular all 64-bit n).
+# The first twelve primes as witnesses are proven complete for every
+# n < psi_12 = 318665857834031151167461 ~ 3.2 * 10^23 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017), in
+# particular for all 64-bit n.  psi_12 itself is a strong pseudoprime to all
+# twelve; covering up to psi_13 ~ 3.3 * 10^24 needs base 41 as well.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _U64_LIMIT = 1 << 64
@@ -182,12 +186,19 @@ def find_prime_in_progression(
 
     Existence is only guaranteed asymptotically, so the scan carries an
     explicit budget on t; exhausting it raises rather than answering wrong.
+    A candidate at or above 2^64, where `is_prime` is not certified, ends
+    the hunt with BoundExceededError.
     """
     if q_pow < 2:
         raise ValueError(f"prime power must be >= 2, got {q_pow}")
     _check_prime_power(q_pow)
     for t in range(1, budget + 1):
         p = 1 + t * q_pow
+        if p >= _U64_LIMIT:
+            raise BoundExceededError(
+                f"prime hunt 1 + t*{q_pow} left the certified range of the "
+                f"primality test (below 2^64) at t = {t}"
+            )
         if p not in exclusions and is_prime(p):
             return p
     raise SearchBudgetError(

@@ -17,7 +17,8 @@ Verification:
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
     q^a.  On top of that, when the full product itself fits the bounds, its
-    subgroups are scanned directly.
+    subgroups are scanned directly.  All factor bounds are checked before
+    any Cayley table is built, so a refusal costs no scan.
 """
 
 from __future__ import annotations
@@ -359,16 +360,24 @@ def verify_converse(
 ) -> tuple[tuple[ConverseFactorRow, ...], FullProductRow | None]:
     """Exhaustive per-factor subgroup scans, plus a direct scan of the full
     product group whenever it fits the bounds (the product-splitting step
-    then gets spot-checked, not just assumed)."""
-    factor_rows = []
-    for i, f in enumerate(cert.factors):
-        t = f.triple()
-        group = t.cayley(bounds.table)
-        if group.order > bounds.subgroups or group.order > bounds.aut:
+    then gets spot-checked, not just assumed).
+
+    Every factor is checked against the table bound and then the scan
+    bounds before any Cayley table is built, so a certificate with an
+    out-of-bound factor is refused without scanning the factors before it.
+    """
+    triples = [f.triple() for f in cert.factors]
+    for t in triples:
+        t.check_table_bound(bounds.table)
+        if t.order > bounds.subgroups or t.order > bounds.aut:
             raise BoundExceededError(
-                f"factor {t} of order {group.order} exceeds the scan bounds "
+                f"factor {t} of order {t.order} exceeds the scan bounds "
                 f"(subgroups {bounds.subgroups}, aut {bounds.aut})"
             )
+
+    groups = [t.cayley(bounds.table) for t in triples]
+    factor_rows = []
+    for i, (f, t, group) in enumerate(zip(cert.factors, triples, groups)):
         scans = _scan_subgroups(group, f.q_pow, bounds)
         factor_rows.append(
             ConverseFactorRow(
@@ -380,11 +389,9 @@ def verify_converse(
             )
         )
 
-    full_order = math.prod(f.p * f.q ** (2 * f.alpha) for f in cert.factors)
+    full_order = math.prod(t.order for t in triples)
     if full_order <= min(bounds.subgroups, bounds.aut, bounds.table):
-        product = genericgroup.direct_product(
-            [f.triple().cayley(bounds.table) for f in cert.factors], bounds.table
-        )
+        product = genericgroup.direct_product(groups, bounds.table)
         scans = _scan_subgroups(product, cert.N, bounds)
         full_row = FullProductRow(
             order=full_order,

@@ -130,12 +130,16 @@ class ZmTriple:
             out.append((out[-1] + self._rpow[u - 1]) % self.m)
         return tuple(out)
 
-    def cayley(self, table_bound: int = DEFAULT_BOUNDS.table) -> genericgroup.CayleyGroup:
-        """Explicit multiplication table over all m*n elements, u-major."""
+    def check_table_bound(self, table_bound: int = DEFAULT_BOUNDS.table) -> None:
+        """Raise BoundExceededError if the Cayley table would exceed the bound."""
         if self.order > table_bound:
             raise BoundExceededError(
                 f"{self} has order {self.order} > table bound {table_bound}"
             )
+
+    def cayley(self, table_bound: int = DEFAULT_BOUNDS.table) -> genericgroup.CayleyGroup:
+        """Explicit multiplication table over all m*n elements, u-major."""
+        self.check_table_bound(table_bound)
         m, n = self.m, self.n
         rpow = self._rpow
         labels = tuple(_label(g) for g in self.elements())

@@ -1,6 +1,7 @@
 """Slow references kept beside the tests: the code paths the package ran
-before forward verification was memoised and the closed form's fixedness
-recheck was folded into `abscenter.compare`.  The tests check the package
+before forward verification was memoised, the closed form's fixedness
+recheck was folded into `abscenter.compare`, and `CayleyGroup.closure`
+became a search by the seed elements.  The tests check the package
 against them; they are never used by the package itself.
 """
 
@@ -10,6 +11,7 @@ import math
 
 from zmcenter import abscenter, aut, realiser
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
+from zmcenter.genericgroup import CayleyGroup
 from zmcenter.numtheory import factorize, geometric_sum_mod
 from zmcenter.zm import ZmTriple
 
@@ -85,3 +87,25 @@ def reference_verify_forward(
             )
         )
     return tuple(rows)
+
+
+def reference_closure(
+    group: CayleyGroup, seed: frozenset[int] | set[int]
+) -> frozenset[int]:
+    """Subgroup generated by the seed, closing under all pairwise products
+    (both orders) of the members found so far: O(|result|^2) products."""
+    members = {group.identity_index} | set(seed)
+    elems = sorted(members)
+    queue = list(elems)
+    while queue:
+        x = queue.pop()
+        idx = 0
+        while idx < len(elems):
+            y = elems[idx]
+            idx += 1
+            for z in (group.table[x][y], group.table[y][x]):
+                if z not in members:
+                    members.add(z)
+                    elems.append(z)
+                    queue.append(z)
+    return frozenset(members)

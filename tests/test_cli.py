@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from zmcenter import cli, schemas
+from zmcenter import cli, genericgroup, schemas
+from zmcenter.zm import ZmTriple
 
 
 def run(capsys, *argv):
@@ -134,6 +135,41 @@ class TestBoundExits:
         code, _, err = run(capsys, "verify", "4", "--converse", "--aut-bound", "10")
         assert code == 3
         assert "exceeds the scan bounds" in err
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("21", "factor ZM(29,49,16) of order 1421 exceeds the scan bounds"),
+            ("30", "factor ZM(11,25,4) of order 275 exceeds the scan bounds"),
+        ],
+    )
+    def test_out_of_bound_factor_refused_before_any_table(
+        self, capsys, monkeypatch, n, message
+    ):
+        calls = {"cayley": 0, "subgroups": 0}
+        real_cayley = ZmTriple.cayley
+        real_subgroups = genericgroup.subgroups
+
+        def cayley(self, *args, **kwargs):
+            calls["cayley"] += 1
+            return real_cayley(self, *args, **kwargs)
+
+        def subgroups(*args, **kwargs):
+            calls["subgroups"] += 1
+            return real_subgroups(*args, **kwargs)
+
+        monkeypatch.setattr(ZmTriple, "cayley", cayley)
+        monkeypatch.setattr(genericgroup, "subgroups", subgroups)
+        code, out, err = run(capsys, "verify", n, "--converse")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message} (subgroups 400, aut 200)\n"
+        assert calls == {"cayley": 0, "subgroups": 0}
+
+    def test_prime_hunt_past_certified_range_exits_3(self, capsys):
+        code, _, err = run(capsys, "realise", "4611686018427387904")
+        assert code == 3
+        assert "certified range" in err
 
     def test_prime_budget_exhausted_exits_3(self, capsys):
         code, _, err = run(capsys, "realise", "4", "--prime-budget", "0")

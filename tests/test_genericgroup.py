@@ -1,9 +1,16 @@
+import random
+
 import pytest
 
+from slow_reference import reference_closure
 from zmcenter import aut, genericgroup as gg
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import factorize
-from zmcenter.zm import validate_triple
+from zmcenter.zm import iter_valid_triples, validate_triple
+
+# the all-pairs reference closure is O(|S|^2) per call; above this order a
+# full subgroup enumeration with it takes minutes
+REFERENCE_LATTICE_MAX_ORDER = 60
 
 
 class TestCayleyGroupConstruction:
@@ -121,6 +128,42 @@ class TestSubgroups:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             gg.subgroups(gg.cyclic_group(12), subgroup_bound=10)
+
+
+def _lattices_with_both_closures(group: gg.CayleyGroup, monkeypatch):
+    fast = [s.members for s in gg.subgroups(group)]
+    with monkeypatch.context() as patch:
+        patch.setattr(gg.CayleyGroup, "closure", reference_closure)
+        slow = [s.members for s in gg.subgroups(group)]
+    return fast, slow
+
+
+class TestClosureMatchesReference:
+    @pytest.mark.parametrize(
+        "t", list(iter_valid_triples(REFERENCE_LATTICE_MAX_ORDER)), ids=str
+    )
+    def test_subgroup_lattice_of_every_small_triple(self, t, monkeypatch):
+        fast, slow = _lattices_with_both_closures(t.cayley(), monkeypatch)
+        assert fast == slow
+
+    def test_subgroup_lattice_of_cyclic_groups(self, monkeypatch):
+        for k in range(1, 31):
+            fast, slow = _lattices_with_both_closures(gg.cyclic_group(k), monkeypatch)
+            assert fast == slow, k
+
+    def test_subgroup_lattice_of_coprime_product(self, monkeypatch):
+        prod = gg.direct_product([validate_triple(3, 4, 2).cayley(), gg.cyclic_group(5)])
+        fast, slow = _lattices_with_both_closures(prod, monkeypatch)
+        assert len(fast) == 16  # Dic3 has 8 subgroups, C_5 has 2
+        assert fast == slow
+
+    @pytest.mark.parametrize("mnr", [(5, 16, 2), (7, 9, 4)])
+    def test_random_seeds(self, mnr):
+        group = validate_triple(*mnr).cayley()
+        rng = random.Random(0xC105E)
+        for _ in range(200):
+            seed = {rng.randrange(group.order) for _ in range(rng.randint(0, 3))}
+            assert group.closure(seed) == reference_closure(group, seed), seed
 
 
 class TestAutomorphismsBruteforce:

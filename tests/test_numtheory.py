@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zmcenter.errors import SearchBudgetError
+from zmcenter.errors import BoundExceededError, SearchBudgetError
 from zmcenter.numtheory import (
+    _MR_BASES,
     Factorization,
     euler_phi,
     factorize,
@@ -54,6 +55,21 @@ class TestIsPrime:
     def test_rejects_values_beyond_certified_range(self):
         with pytest.raises(ValueError):
             is_prime(2**64)
+
+    def test_psi12_is_a_strong_pseudoprime_to_all_bases(self):
+        # psi_12 bounds the range on which the twelve bases are complete
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert len(_MR_BASES) == 12
+        d, s = psi12 - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for a in _MR_BASES:
+            x = pow(a, d, psi12)
+            assert x in (1, psi12 - 1) or any(
+                pow(x, 2**i, psi12) == psi12 - 1 for i in range(1, s)
+            ), a
 
 
 class TestFactorize:
@@ -165,6 +181,11 @@ class TestFindPrimeInProgression:
             find_prime_in_progression(6)
         with pytest.raises(ValueError):
             find_prime_in_progression(1)
+
+    def test_hunt_past_certified_range_is_a_bound_error(self):
+        # 1 + t*2^62 is composite for t = 1, 2, 3; t = 4 reaches 2^64 + 1
+        with pytest.raises(BoundExceededError, match="certified range"):
+            find_prime_in_progression(2**62, {2})
 
     def test_budget_exhaustion_raises(self):
         # candidates 5, 9, 13, 17 are excluded or composite

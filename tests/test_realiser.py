@@ -8,6 +8,7 @@ from zmcenter import abscenter, realiser
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError
 from zmcenter.numtheory import factorize
+from zmcenter.zm import ZmTriple
 
 
 class TestRealise:
@@ -197,6 +198,27 @@ class TestVerifyConverse:
         cert = realiser.realise(4)
         with pytest.raises(BoundExceededError):
             realiser.verify_converse(cert, Bounds(aut=10))
+
+    @pytest.mark.parametrize(
+        "n, bounds, culprit",
+        [
+            # the second factor ZM(7,9,2) of order 63 is over the table bound
+            (6, Bounds(table=50), 1),
+            # ZM(5,16,2) of order 80 is over both; the table bound trips first
+            (12, Bounds(table=70, aut=70), 0),
+        ],
+    )
+    def test_table_bound_refused_before_any_table(self, monkeypatch, n, bounds, culprit):
+        cert = realiser.realise(n)
+        with pytest.raises(BoundExceededError) as expected:
+            cert.factors[culprit].triple().cayley(bounds.table)
+        built = []
+        monkeypatch.setattr(ZmTriple, "cayley", lambda t, *a, **k: built.append(t))
+        with pytest.raises(BoundExceededError) as refused:
+            realiser.verify_converse(cert, bounds)
+        assert str(refused.value) == str(expected.value)
+        assert "table bound" in str(refused.value)
+        assert built == []
 
 
 class TestVerifyReport:
