@@ -103,7 +103,7 @@ class AbsCenterComparison:
     def as_json_dict(self) -> dict:
         return {
             "schema": 1,
-            "triple": {"m": self.triple.m, "n": self.triple.n, "r": self.triple.r},
+            "triple": self.triple.as_json_dict(),
             "d": self.d,
             "e": self.e,
             "formula_order": self.formula_order,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import AutParamError
 from .numtheory import geometric_sum_mod
@@ -168,13 +168,3 @@ def to_permutation(t: ZmTriple, alpha: AutTriple) -> tuple[int, ...]:
     """The automorphism as a permutation of the u-major element enumeration
     (the same order the Cayley export uses)."""
     return tuple(t.index_of(apply(t, alpha, g)) for g in t.elements())
-
-
-def is_homomorphism(t: ZmTriple, alpha: AutTriple, pairs: Iterable[tuple[ZmElement, ZmElement]]) -> bool:
-    """Spot-check apply(alpha, g*h) == apply(alpha, g) * apply(alpha, h)."""
-    for g, h in pairs:
-        lhs = apply(t, alpha, t.multiply(g, h))
-        rhs = t.multiply(apply(t, alpha, g), apply(t, alpha, h))
-        if lhs != rhs:
-            return False
-    return True

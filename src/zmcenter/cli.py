@@ -8,12 +8,12 @@ JSON output (--json) is byte-identical across identical invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import abscenter, aut, genericgroup, realiser
 from .config import Bounds, DEFAULT_BOUNDS
 from .errors import BoundExceededError, SearchBudgetError, TripleError, ZmcenterError
+from .schemas import to_json
 from .zm import validate_triple
 
 EXIT_OK = 0
@@ -23,10 +23,13 @@ EXIT_BOUND = 3
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    sys.stdout.write(to_json(doc))
 
 
 def _bounds_from_args(args: argparse.Namespace) -> Bounds:
+    """The one place a subcommand's bound flags become `Bounds`.  A bound
+    with no flag on the subcommand, and the table and oracle bounds, which
+    have no flag at all, keep their defaults."""
     return Bounds(
         aut=getattr(args, "aut_bound", DEFAULT_BOUNDS.aut),
         subgroups=getattr(args, "subgroup_bound", DEFAULT_BOUNDS.subgroups),
@@ -42,7 +45,7 @@ def _yesno(flag: bool | None) -> str:
 
 def _cmd_abscenter(args) -> int:
     t = validate_triple(args.m, args.n, args.r)
-    cmp = abscenter.compare(t)
+    cmp = abscenter.compare(t, _bounds_from_args(args).oracle)
     if args.json:
         _emit_json(cmp.as_json_dict())
         return EXIT_OK
@@ -67,7 +70,7 @@ def _cmd_aut(args) -> int:
             _emit_json(
                 {
                     "schema": 1,
-                    "triple": {"m": t.m, "n": t.n, "r": t.r},
+                    "triple": t.as_json_dict(),
                     "aut": counts.aut,
                     "inn": counts.inn,
                     "out": counts.out,
@@ -88,7 +91,7 @@ def _cmd_aut(args) -> int:
         _emit_json(
             {
                 "schema": 1,
-                "triple": {"m": t.m, "n": t.n, "r": t.r},
+                "triple": t.as_json_dict(),
                 "family": args.family,
                 "count": len(family),
                 "triples": [{"x1": a.x1, "x2": a.x2, "y": a.y} for a in family],
@@ -102,7 +105,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_realise(args) -> int:
-    cert = realiser.realise(args.N, prime_budget=args.prime_budget)
+    cert = realiser.realise(args.N, prime_budget=_bounds_from_args(args).prime_budget)
     if args.json:
         _emit_json(cert.as_json_dict())
         return EXIT_OK
@@ -158,32 +161,29 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle_check(args) -> int:
     t = validate_triple(args.m, args.n, args.r)
     bounds = _bounds_from_args(args)
-    cmp = abscenter.compare(t)
+    cmp = abscenter.compare(t, bounds.oracle)
+    if cmp.oracle_order is None:
+        # refuse before enumerating a family that no comparison would use
+        raise BoundExceededError(f"{t} has order {t.order} > oracle bound {bounds.oracle}")
     family = aut.enumerate_family(t, "all")
     enumerated = len(family)
-    formula_aut: int | None = None
-    if t.m > 1:
-        formula_aut = aut.aut_counts(t).aut
+    formula_aut = aut.aut_counts(t).aut
     brute_aut: int | None = None
     aut_tables_agree: bool | None = None
     l_brute: int | None = None
-    if t.order <= min(bounds.aut, DEFAULT_BOUNDS.table):
-        group = t.cayley()
+    if t.order <= min(bounds.aut, bounds.table):
+        group = t.cayley(bounds.table)
         perms = genericgroup.automorphisms_bruteforce(group, bounds.aut)
         brute_aut = len(perms)
         aut_tables_agree = set(perms) == {aut.to_permutation(t, a) for a in family}
         fixed = genericgroup.absolute_center_bruteforce(group, bounds.aut)
         l_brute = fixed.order
-    aut_agree = (
-        formula_aut is not None
-        and formula_aut == enumerated
-        and (brute_aut is None or brute_aut == enumerated)
-    )
+    aut_agree = formula_aut == enumerated and (brute_aut is None or brute_aut == enumerated)
     l_agree = cmp.agree is True and (l_brute is None or l_brute == cmp.oracle_order)
     verdict = aut_agree and l_agree and aut_tables_agree is not False
     doc = {
         "schema": 1,
-        "triple": {"m": t.m, "n": t.n, "r": t.r},
+        "triple": t.as_json_dict(),
         "regime_guaranteed": t.regime_guaranteed,
         "aut_formula": formula_aut,
         "aut_enumerated": enumerated,
@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_triple_args(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--aut-bound", type=int, default=DEFAULT_BOUNDS.aut)
-    p.add_argument("--subgroup-bound", type=int, default=DEFAULT_BOUNDS.subgroups)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -109,12 +109,6 @@ class CayleyGroup:
                     queue.append(z)
         return frozenset(members)
 
-    def dump_table(self) -> str:
-        """Bit-exact text form: order on the first line, then the rows."""
-        lines = [str(self.order)]
-        lines.extend(" ".join(str(x) for x in row) for row in self.table)
-        return "\n".join(lines) + "\n"
-
 
 def _find_identity(table) -> int:
     n = len(table)

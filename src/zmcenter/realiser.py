@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import abscenter, genericgroup
+from . import abscenter, genericgroup, schemas
 from .config import Bounds, DEFAULT_BOUNDS
 from .errors import BoundExceededError, CertificateError
 from .numtheory import (
@@ -73,7 +73,7 @@ class RealiserCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_json_dict(), sort_keys=True, indent=2) + "\n"
+        return schemas.to_json(self.as_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RealiserCertificate":
@@ -189,6 +189,14 @@ class SubgroupScanRow:
     l_cyclic: bool
     embeds: bool  # cyclic and order divides the factor's q^alpha
 
+    def as_json_dict(self) -> dict:
+        return {
+            "order": self.order,
+            "l_order": self.l_order,
+            "l_cyclic": self.l_cyclic,
+            "embeds_in_C_N": self.embeds,
+        }
+
 
 @dataclass(frozen=True)
 class ConverseFactorRow:
@@ -225,7 +233,7 @@ class VerificationReport:
                     "divisor": row.divisor,
                     "factors": [
                         {
-                            "triple": {"m": fr.triple.m, "n": fr.triple.n, "r": fr.triple.r},
+                            "triple": fr.triple.as_json_dict(),
                             "formula_order": fr.formula_order,
                             "oracle_order": fr.oracle_order,
                             "agree": fr.agree,
@@ -246,17 +254,9 @@ class VerificationReport:
             doc["converse_results"] = [
                 {
                     "factor_index": row.index,
-                    "triple": {"m": row.triple.m, "n": row.triple.n, "r": row.triple.r},
+                    "triple": row.triple.as_json_dict(),
                     "target": row.target,
-                    "subgroups": [
-                        {
-                            "order": s.order,
-                            "l_order": s.l_order,
-                            "l_cyclic": s.l_cyclic,
-                            "embeds_in_C_N": s.embeds,
-                        }
-                        for s in row.scans
-                    ],
+                    "subgroups": [s.as_json_dict() for s in row.scans],
                     "pass": row.passed,
                 }
                 for row in self.converse_results
@@ -266,21 +266,13 @@ class VerificationReport:
                 "order": self.full_product.order,
                 "scanned": self.full_product.scanned,
                 "reason": self.full_product.reason,
-                "subgroups": [
-                    {
-                        "order": s.order,
-                        "l_order": s.l_order,
-                        "l_cyclic": s.l_cyclic,
-                        "embeds_in_C_N": s.embeds,
-                    }
-                    for s in self.full_product.scans
-                ],
+                "subgroups": [s.as_json_dict() for s in self.full_product.scans],
                 "pass": self.full_product.passed,
             }
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.as_json_dict(), sort_keys=True, indent=2) + "\n"
+        return schemas.to_json(self.as_json_dict())
 
 
 def verify_forward(

@@ -1,8 +1,18 @@
-"""Versioned JSON schemas for the documents the package emits.
+"""Versioned JSON schemas for the documents the package emits, and the one
+serializer that writes them.
 
 Schema version 1.  Kept as plain dicts so tests (and downstream consumers)
 can validate emitted documents with any JSON-Schema validator.
 """
+
+import json
+
+
+def to_json(doc: dict) -> str:
+    """The byte-stable text of an emitted document: sorted keys, two-space
+    indent, one trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
 
 _TRIPLE = {
     "type": "object",

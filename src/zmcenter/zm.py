@@ -50,6 +50,10 @@ class ZmTriple:
     def __str__(self) -> str:
         return f"ZM({self.m},{self.n},{self.r})"
 
+    def as_json_dict(self) -> dict:
+        """The triple sub-document of every emitted JSON document."""
+        return {"m": self.m, "n": self.n, "r": self.r}
+
     # -- element arithmetic ------------------------------------------------
 
     @property

@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from zmcenter import cli, genericgroup, schemas
+from zmcenter import aut, cli, genericgroup, schemas
 from zmcenter.zm import ZmTriple
 
 
@@ -106,6 +111,22 @@ class TestOracleCheck:
         assert code == 1
         assert "DISAGREE" in out
 
+    @pytest.mark.parametrize("triple", [("101", "625", "16"), ("1009", "2", "1008")])
+    def test_above_oracle_bound_refused_before_enumeration(self, capsys, monkeypatch, triple):
+        calls = []
+        real_enumerate = aut.enumerate_family
+
+        def enumerate_family(*args, **kwargs):
+            calls.append(args)
+            return real_enumerate(*args, **kwargs)
+
+        monkeypatch.setattr(aut, "enumerate_family", enumerate_family)
+        code, out, err = run(capsys, "oracle-check", *triple, "--json")
+        assert code == 3
+        assert out == ""
+        assert "> oracle bound 2000" in err
+        assert calls == []
+
     def test_disagreement_probe_json(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "7", "6", "2", "--json")
         assert code == 1
@@ -183,3 +204,61 @@ class TestBoundExits:
         doc = json.loads(out)
         assert doc["formula_order"] == 25
         assert doc["oracle_order"] is None and doc["agree"] is None
+
+
+# For each bound flag a subcommand declares: an invocation, and the flag
+# with a value that changes its result.
+BOUND_FLAG_CASES = {
+    ("verify", "--aut-bound"): (["verify", "4", "--converse"], ["--aut-bound", "10"]),
+    ("verify", "--subgroup-bound"): (["verify", "4", "--converse"], ["--subgroup-bound", "10"]),
+    ("verify", "--prime-budget"): (["verify", "4"], ["--prime-budget", "0"]),
+    ("realise", "--prime-budget"): (["realise", "4"], ["--prime-budget", "0"]),
+    ("oracle-check", "--aut-bound"): (["oracle-check", "5", "16", "2"], ["--aut-bound", "10"]),
+}
+
+
+def _declared_bound_flags() -> set[tuple[str, str]]:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (name, option)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.endswith(("-bound", "-budget"))
+    }
+
+
+class TestNoDeadFlag:
+    def test_every_bound_flag_has_a_case(self):
+        assert _declared_bound_flags() == set(BOUND_FLAG_CASES)
+
+    @pytest.mark.parametrize("key", sorted(BOUND_FLAG_CASES))
+    def test_flag_changes_the_result(self, capsys, key):
+        argv, flag = BOUND_FLAG_CASES[key]
+        assert run(capsys, *argv) != run(capsys, *argv, *flag)
+
+    def test_oracle_check_aut_bound_skips_brute_force(self, capsys):
+        _, out, _ = run(capsys, "oracle-check", "5", "16", "2", "--json")
+        assert json.loads(out)["aut_bruteforce"] == 80
+        _, out, _ = run(capsys, "oracle-check", "5", "16", "2", "--json", "--aut-bound", "10")
+        assert json.loads(out)["aut_bruteforce"] is None
+
+    def test_oracle_check_has_no_subgroup_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle-check", "5", "16", "2", "--subgroup-bound", "5"])
+        assert exc.value.code == 2
+        assert "--subgroup-bound" in capsys.readouterr().err
+
+
+def test_probe_discrepancies_script_runs():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "probe_discrepancies.py"), "--max-order", "60"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n10 unguaranteed triples with mn <= 60; 10 with formula drift\n")

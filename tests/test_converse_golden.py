@@ -1,8 +1,12 @@
-"""Replay of `verify N --converse [--json]` for N = 1..30 against a
-recorded golden file: exit code, SHA-256 of stdout and the stderr text
-must match byte for byte.
+"""Replay of recorded CLI invocations against golden files: exit code,
+SHA-256 of stdout and the stderr text must match byte for byte.
 
-Regenerate the file (only when a change of output is intended) with
+* `converse_golden.json` pins `verify N --converse [--json]` for N = 1..30.
+* `cli_golden.json` pins every other subcommand: `abscenter`, `aut`,
+  `realise N` and forward `verify N` for N = 1..30, and `oracle-check` on
+  triples within the oracle bound.
+
+Regenerate the files (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_converse_golden.py
 """
@@ -15,18 +19,53 @@ import io
 import json
 import pathlib
 
-from zmcenter import cli
+from zmcenter import aut, cli
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "converse_golden.json"
+DATA = pathlib.Path(__file__).parent / "data"
 N_MAX = 30
+TEXT_AND_JSON = ([], ["--json"])
 
 
-def _argvs() -> list[list[str]]:
+def _converse_argvs() -> list[list[str]]:
     return [
         ["verify", str(n), "--converse", *flag]
         for n in range(1, N_MAX + 1)
         for flag in (["--json"], [])
     ]
+
+
+def _cli_argvs() -> list[list[str]]:
+    # 101 625 16 is above the oracle bound; 1 5 1 is the degenerate m = 1
+    # case, a usage error for the closed forms; 3 6 2 is no presentation.
+    abscenter_triples = [
+        "5 16 2", "5 48 2", "7 6 2", "5 4 2", "7 9 2", "101 625 16", "1 5 1", "3 6 2",
+    ]
+    aut_triples = ["5 16 2", "7 6 2", "5 4 2", "1 5 1"]
+    # 11 25 4 is above the aut bound (brute force skipped), 7 6 2 disagrees.
+    oracle_triples = ["5 16 2", "7 6 2", "5 4 2", "7 9 2", "11 25 4"]
+    argvs = [["abscenter", *t.split(), *f] for t in abscenter_triples for f in TEXT_AND_JSON]
+    argvs += [["aut", *t.split(), "--count-only", *f] for t in aut_triples for f in TEXT_AND_JSON]
+    argvs += [
+        ["aut", *t.split(), "--family", family, *f]
+        for t in aut_triples
+        for family in aut.FAMILIES
+        for f in TEXT_AND_JSON
+    ]
+    argvs += [
+        [cmd, str(n), *f]
+        for cmd in ("realise", "verify")
+        for n in range(1, N_MAX + 1)
+        for f in TEXT_AND_JSON
+    ]
+    argvs += [["oracle-check", *t.split(), *f] for t in oracle_triples for f in TEXT_AND_JSON]
+    argvs += [["oracle-check", "5", "16", "2", "--aut-bound", "10", *f] for f in TEXT_AND_JSON]
+    return argvs
+
+
+GOLDENS = {
+    "converse_golden.json": _converse_argvs,
+    "cli_golden.json": _cli_argvs,
+}
 
 
 def _run(argv: list[str]) -> dict:
@@ -41,12 +80,21 @@ def _run(argv: list[str]) -> dict:
     }
 
 
-def test_converse_output_matches_golden():
-    golden = json.loads(GOLDEN.read_text())
-    assert [g["argv"] for g in golden] == _argvs()
+def _check(name: str) -> None:
+    golden = json.loads((DATA / name).read_text())
+    assert [g["argv"] for g in golden] == GOLDENS[name]()
     mismatches = [g["argv"] for g in golden if _run(g["argv"]) != g]
     assert mismatches == []
 
 
+def test_converse_output_matches_golden():
+    _check("converse_golden.json")
+
+
+def test_cli_output_matches_golden():
+    _check("cli_golden.json")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([_run(a) for a in _argvs()], indent=1) + "\n")
+    for name, argvs in GOLDENS.items():
+        (DATA / name).write_text(json.dumps([_run(a) for a in argvs()], indent=1) + "\n")
