@@ -176,8 +176,7 @@ def _cmd_oracle_check(args) -> int:
         perms = genericgroup.automorphisms_bruteforce(group, bounds.aut)
         brute_aut = len(perms)
         aut_tables_agree = set(perms) == {aut.to_permutation(t, a) for a in family}
-        fixed = genericgroup.absolute_center_bruteforce(group, bounds.aut)
-        l_brute = fixed.order
+        l_brute = genericgroup.fixed_subgroup(group, perms).order
     aut_agree = formula_aut == enumerated and (brute_aut is None or brute_aut == enumerated)
     l_agree = cmp.agree is True and (l_brute is None or l_brute == cmp.oracle_order)
     verdict = aut_agree and l_agree and aut_tables_agree is not False

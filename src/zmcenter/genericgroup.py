@@ -303,8 +303,13 @@ def absolute_center_bruteforce(
     group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
 ) -> Subgroup:
     """Elements fixed by every automorphism of the table."""
-    auts = automorphisms_bruteforce(group, aut_bound)
-    fixed = [i for i in range(group.order) if all(p[i] == i for p in auts)]
+    return fixed_subgroup(group, automorphisms_bruteforce(group, aut_bound))
+
+
+def fixed_subgroup(group: CayleyGroup, perms: list[tuple[int, ...]]) -> Subgroup:
+    """Elements fixed by every permutation in perms, e.g. the automorphisms
+    `automorphisms_bruteforce` returned."""
+    fixed = [i for i in range(group.order) if all(p[i] == i for p in perms)]
     return Subgroup(group, tuple(fixed))
 
 

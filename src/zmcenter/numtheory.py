@@ -2,8 +2,10 @@
 searches that feed the cyclic-realisation construction.
 
 Everything here is deterministic. Primality uses the Miller-Rabin base set
-that is proven complete for all inputs below 2^64, so there is no
-probabilistic acceptance anywhere in the verification chain.
+that is proven complete for all inputs below psi_12 ~ 3.2 * 10^23, so
+there is no probabilistic acceptance anywhere in the verification chain.
+Factoring is trial division up to a small bound, then Pollard-Brent rho on
+what is left; every factor rho returns is proven prime before it is kept.
 """
 
 from __future__ import annotations
@@ -21,13 +23,22 @@ from .config import DEFAULT_BOUNDS
 # twelve; covering up to psi_13 ~ 3.3 * 10^24 needs base 41 as well.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_U64_LIMIT = 1 << 64
+_PSI_12 = 318665857834031151167461
+
+# factorize divides by every d <= _TRIAL_BOUND on the wheel and hands the
+# cofactor left over to Pollard-Brent rho
+_TRIAL_BOUND = 1 << 10
+
+# rho multiplies this many differences together before taking one gcd
+_RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2^64."""
-    if n >= _U64_LIMIT:
-        raise ValueError(f"primality test is only certified below 2^64, got {n}")
+    """Deterministic primality test for 0 <= n < psi_12."""
+    if n >= _PSI_12:
+        raise ValueError(
+            f"primality test is only certified below psi_12 = {_PSI_12}, got {n}"
+        )
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -85,39 +96,84 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization by trial division.
+    """Complete prime factorization of 1 <= n, for n whose cofactors stay
+    below psi_12.
 
-    A primality test on the remaining cofactor short-circuits the common
-    case of one large prime factor.
+    Trial division on the 6k+-1 wheel up to `_TRIAL_BOUND` first; a
+    cofactor below the square of the next trial divisor has no smaller
+    factor and is prime.  Any other cofactor goes through `is_prime`, and a
+    composite one is split by Pollard-Brent rho until every part passes
+    `is_prime`.  A cofactor at or above psi_12 cannot be certified and
+    raises BoundExceededError.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
-    pairs = []
+    counts: dict[int, int] = {}
     for p in (2, 3):
-        if n % p == 0:
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            pairs.append((p, a))
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
     # remaining factors are coprime to 6: walk the 6k+-1 wheel
     d = 5
     step = 2
-    while d * d <= n:
-        if n > 1 and is_prime(n):
-            break
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            pairs.append((d, a))
+    while d <= _TRIAL_BOUND and d * d <= n:
+        while n % d == 0:
+            n //= d
+            counts[d] = counts.get(d, 0) + 1
         d += step
         step = 6 - step
-    if n > 1:
-        pairs.append((n, 1))
-    pairs.sort()
-    return Factorization(tuple(pairs))
+    if n > 1 and d * d > n:
+        counts[n] = counts.get(n, 0) + 1
+    elif n > 1:
+        # only primes above _TRIAL_BOUND are left: certify or split by rho
+        pending = [n]
+        while pending:
+            c = pending.pop()
+            if c >= _PSI_12:
+                raise BoundExceededError(
+                    f"cofactor {c} is outside the certified range of the "
+                    f"primality test (below psi_12 = {_PSI_12})"
+                )
+            if is_prime(c):
+                counts[c] = counts.get(c, 0) + 1
+            else:
+                f = _pollard_brent(c)
+                pending += [f, c // f]
+    return Factorization(tuple(sorted(counts.items())))
+
+
+def _pollard_brent(n: int) -> int:
+    """A factor 1 < f < n of the odd composite n, by Brent's variant of
+    Pollard rho on x -> x^2 + c with c = 1, 2, ... in turn.
+
+    The differences are multiplied in batches of `_RHO_BATCH` with one gcd
+    per batch; a batch whose gcd is n is replayed one step at a time, and
+    if that still gives n the next c is tried.
+    """
+    c = 1
+    while True:
+        y, g, q, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        c += 1
 
 
 def euler_phi(m: int) -> int:
@@ -186,7 +242,7 @@ def find_prime_in_progression(
 
     Existence is only guaranteed asymptotically, so the scan carries an
     explicit budget on t; exhausting it raises rather than answering wrong.
-    A candidate at or above 2^64, where `is_prime` is not certified, ends
+    A candidate at or above psi_12, where `is_prime` is not certified, ends
     the hunt with BoundExceededError.
     """
     if q_pow < 2:
@@ -194,10 +250,10 @@ def find_prime_in_progression(
     _check_prime_power(q_pow)
     for t in range(1, budget + 1):
         p = 1 + t * q_pow
-        if p >= _U64_LIMIT:
+        if p >= _PSI_12:
             raise BoundExceededError(
                 f"prime hunt 1 + t*{q_pow} left the certified range of the "
-                f"primality test (below 2^64) at t = {t}"
+                f"primality test (below psi_12 = {_PSI_12}) at t = {t}"
             )
         if p not in exclusions and is_prime(p):
             return p

@@ -1,8 +1,9 @@
 """Slow references kept beside the tests: the code paths the package ran
 before forward verification was memoised, the closed form's fixedness
-recheck was folded into `abscenter.compare`, and `CayleyGroup.closure`
-became a search by the seed elements.  The tests check the package
-against them; they are never used by the package itself.
+recheck was folded into `abscenter.compare`, `CayleyGroup.closure`
+became a search by the seed elements, and `factorize` moved from pure
+trial division to trial division plus Pollard-Brent rho.  The tests check
+the package against them; they are never used by the package itself.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from zmcenter import abscenter, aut, realiser
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
 from zmcenter.genericgroup import CayleyGroup
-from zmcenter.numtheory import factorize, geometric_sum_mod
+from zmcenter.numtheory import Factorization, factorize, geometric_sum_mod, is_prime
 from zmcenter.zm import ZmTriple
 
 
@@ -109,3 +110,39 @@ def reference_closure(
                     elems.append(z)
                     queue.append(z)
     return frozenset(members)
+
+
+def reference_factorize(n: int) -> Factorization:
+    """Complete prime factorization by trial division.
+
+    A primality test on the remaining cofactor short-circuits the common
+    case of one large prime factor.
+    """
+    if n < 1:
+        raise ValueError(f"can only factor positive integers, got {n}")
+    pairs = []
+    for p in (2, 3):
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            pairs.append((p, a))
+    # remaining factors are coprime to 6: walk the 6k+-1 wheel
+    d = 5
+    step = 2
+    while d * d <= n:
+        if n > 1 and is_prime(n):
+            break
+        if n % d == 0:
+            a = 0
+            while n % d == 0:
+                n //= d
+                a += 1
+            pairs.append((d, a))
+        d += step
+        step = 6 - step
+    if n > 1:
+        pairs.append((n, 1))
+    pairs.sort()
+    return Factorization(tuple(pairs))

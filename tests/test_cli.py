@@ -127,6 +127,20 @@ class TestOracleCheck:
         assert "> oracle bound 2000" in err
         assert calls == []
 
+    def test_one_bruteforce_automorphism_search(self, capsys, monkeypatch):
+        calls = []
+        real = genericgroup.automorphisms_bruteforce
+
+        def automorphisms_bruteforce(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(genericgroup, "automorphisms_bruteforce", automorphisms_bruteforce)
+        code, out, _ = run(capsys, "oracle-check", "5", "16", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["l_bruteforce"] == 4
+        assert len(calls) == 1
+
     def test_disagreement_probe_json(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "7", "6", "2", "--json")
         assert code == 1
@@ -188,9 +202,30 @@ class TestBoundExits:
         assert calls == {"cayley": 0, "subgroups": 0}
 
     def test_prime_hunt_past_certified_range_exits_3(self, capsys):
-        code, _, err = run(capsys, "realise", "4611686018427387904")
+        # 2^77: the hunt 1 + t*2^77 passes psi_12 at t = 3
+        code, _, err = run(capsys, "realise", "151115727451828646838272")
         assert code == 3
         assert "certified range" in err
+
+    def test_prime_hunt_above_2_64_answers(self, capsys):
+        code, out, _ = run(capsys, "realise", "4611686018427387904", "--json")
+        assert code == 0
+        [factor] = json.loads(out)["factors"]
+        assert factor["p"] == 83010348331692982273
+
+    def test_prime_above_2_64_answers(self, capsys):
+        code, out, _ = run(capsys, "realise", "18446744073709551629", "--json")
+        assert code == 0
+        [factor] = json.loads(out)["factors"]
+        assert factor["q"] == 18446744073709551629
+
+    def test_cofactor_at_certified_limit_exits_3(self, capsys):
+        # psi_12 = 399165290221 * 798330580441 is the first n the
+        # primality test cannot certify, so factorize refuses it
+        code, out, err = run(capsys, "realise", "318665857834031151167461")
+        assert code == 3
+        assert out == ""
+        assert "psi_12 = 318665857834031151167461" in err
 
     def test_prime_budget_exhausted_exits_3(self, capsys):
         code, _, err = run(capsys, "realise", "4", "--prime-budget", "0")

@@ -3,8 +3,10 @@ SHA-256 of stdout and the stderr text must match byte for byte.
 
 * `converse_golden.json` pins `verify N --converse [--json]` for N = 1..30.
 * `cli_golden.json` pins every other subcommand: `abscenter`, `aut`,
-  `realise N` and forward `verify N` for N = 1..30, and `oracle-check` on
-  triples within the oracle bound.
+  `realise N` and forward `verify N` for N = 1..30, `oracle-check` on
+  triples within the oracle bound, and `realise N --json` on 40 seeded
+  larger N: semiprimes, prime squares, smooth N and primes in
+  10^12..10^15.
 
 Regenerate the files (only when a change of output is intended) with
 
@@ -17,9 +19,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
+import random
 
 from zmcenter import aut, cli
+from zmcenter.numtheory import is_prime
 
 DATA = pathlib.Path(__file__).parent / "data"
 N_MAX = 30
@@ -32,6 +37,26 @@ def _converse_argvs() -> list[list[str]]:
         for n in range(1, N_MAX + 1)
         for flag in (["--json"], [])
     ]
+
+
+def _prime_between(rng: random.Random, lo: int, hi: int) -> int:
+    while True:
+        n = rng.randrange(lo, hi)
+        if is_prime(n):
+            return n
+
+
+def _realise_inputs() -> list[int]:
+    """Ten seeded N from each of four classes, all below 2^64."""
+    rng = random.Random("realise-golden")
+    ns = []
+    for _ in range(10):
+        ns.append(_prime_between(rng, 35_000, 40_000) * _prime_between(rng, 10**5, 10**6))
+        ns.append(_prime_between(rng, 20_000, 25_000) ** 2)
+        qs = rng.sample((2, 3, 5, 7, 11, 13, 17, 19), 4)
+        ns.append(math.prod(q ** rng.randint(1, 3) for q in qs))
+        ns.append(_prime_between(rng, 10**12, 10**15))
+    return ns
 
 
 def _cli_argvs() -> list[list[str]]:
@@ -59,6 +84,7 @@ def _cli_argvs() -> list[list[str]]:
     ]
     argvs += [["oracle-check", *t.split(), *f] for t in oracle_triples for f in TEXT_AND_JSON]
     argvs += [["oracle-check", "5", "16", "2", "--aut-bound", "10", *f] for f in TEXT_AND_JSON]
+    argvs += [["realise", str(n), "--json"] for n in _realise_inputs()]
     return argvs
 
 

@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slow_reference import reference_factorize
+from zmcenter import numtheory
 from zmcenter.errors import BoundExceededError, SearchBudgetError
 from zmcenter.numtheory import (
     _MR_BASES,
@@ -27,6 +30,13 @@ def _trial_division_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_between(rng: random.Random, lo: int, hi: int) -> int:
+    while True:
+        n = rng.randrange(lo, hi)
+        if _trial_division_prime(n):
+            return n
 
 
 def _order_by_scan(r: int, m: int) -> int:
@@ -53,8 +63,13 @@ class TestIsPrime:
             assert is_prime(n)
 
     def test_rejects_values_beyond_certified_range(self):
-        with pytest.raises(ValueError):
-            is_prime(2**64)
+        with pytest.raises(ValueError, match="psi_12"):
+            is_prime(318665857834031151167461)
+
+    def test_accepts_values_above_2_64(self):
+        assert is_prime(2**64 + 13)
+        assert not is_prime(2**64 + 1)
+        assert is_prime(83010348331692982273)
 
     def test_psi12_is_a_strong_pseudoprime_to_all_bases(self):
         # psi_12 bounds the range on which the twelve bases are complete
@@ -92,6 +107,50 @@ class TestFactorize:
     def test_large_prime_cofactor(self):
         p = 2**61 - 1
         assert factorize(6 * p).pairs == ((2, 1), (3, 1), (p, 1))
+
+    def test_matches_reference_up_to_20000(self):
+        for n in range(1, 20_001):
+            assert factorize(n) == reference_factorize(n), n
+
+    def test_matches_reference_on_seeded_inputs(self):
+        # random n < 10^12, semiprimes of the benchmark's shape and prime
+        # squares; the reference trial-divides up to the second largest
+        # prime factor (about 12 s for this sample), which sets its size
+        rng = random.Random("factorize-reference")
+        ns = [rng.randrange(1, 10**12) for _ in range(300)]
+        ns += [
+            _prime_between(rng, 35_000, 40_000) * _prime_between(rng, 10**5, 10**6)
+            for _ in range(30)
+        ]
+        ns += [_prime_between(rng, 20_000, 25_000) ** 2 for _ in range(30)]
+        for n in ns:
+            assert factorize(n) == reference_factorize(n), n
+
+    def test_primality_tested_only_on_new_cofactors(self, monkeypatch):
+        calls = []
+        real = numtheory.is_prime
+
+        def is_prime_counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", is_prime_counted)
+        assert factorize(37619 * 500009).pairs == ((37619, 1), (500009, 1))
+        assert len(calls) <= 5
+
+    def test_product_of_two_primes_near_2_31(self):
+        p, q = 2147483629, 2147483647  # the two largest primes below 2^31
+        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        assert factorize(q * q).pairs == ((q, 2),)
+
+    def test_cofactor_at_certified_limit_is_a_bound_error(self):
+        psi12 = 318665857834031151167461
+        with pytest.raises(BoundExceededError, match="certified range"):
+            factorize(psi12)
+        with pytest.raises(BoundExceededError, match="certified range"):
+            # 2^79 - 1 has no prime factor below 2^10 and is past psi_12
+            factorize(6 * (2**79 - 1))
+        assert factorize(2**100).pairs == ((2, 100),)
 
     def test_divisors(self):
         assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
@@ -183,9 +242,9 @@ class TestFindPrimeInProgression:
             find_prime_in_progression(1)
 
     def test_hunt_past_certified_range_is_a_bound_error(self):
-        # 1 + t*2^62 is composite for t = 1, 2, 3; t = 4 reaches 2^64 + 1
+        # 1 + t*2^77 is composite for t = 1, 2; t = 3 passes psi_12
         with pytest.raises(BoundExceededError, match="certified range"):
-            find_prime_in_progression(2**62, {2})
+            find_prime_in_progression(2**77, {2})
 
     def test_budget_exhaustion_raises(self):
         # candidates 5, 9, 13, 17 are excluded or composite
