@@ -1,16 +1,31 @@
 """The absolute center L(G) of a ZM-group: the closed form <b^(d*e)> with
-e = n / gcd(n, d^2), and an independent fixed-point oracle that scans the
-whole parametrized automorphism family.
+e = n / gcd(n, d^2), and an independent fixed-point oracle that scans
+every element against a generating set of the parametrized automorphism
+family.
 
 The closed form is always a subgroup of L (its generator really is fixed
 by every parametrized automorphism); it is provably all of L when every
 prime of n divides d.  Outside that regime the oracle is the ground truth
 and reports carry an explicit agree/disagree verdict.
 
-`compare` is the one place both paths meet.  It enumerates the family once,
-inside the oracle, and checks there that the closed-form generator is among
-the fixed points; a generator that is not fixed is a fatal internal
-inconsistency (RuntimeError), never a disagreement.
+Why a generating set suffices:
+  1. The fixed points of a group of maps are the common fixed points of
+     any generating set: a point fixed by alpha and beta is fixed by
+     alpha*beta and by alpha^-1.
+  2. (1, 1, 1) and the (g, 0, 1), g running over generators of the units
+     mod m, generate the subgroup with y = 1: (1, 1, 1)^k = (1, k, 1) and
+     (x1, 0, 1)(1, k, 1) = (x1, x1*k, 1), which reach every (x1, x2, 1).
+     That subgroup is Hol(C_m).
+  3. (x1, x2, y) |-> y is a homomorphism from the family onto the
+     admissible y with exactly that kernel, so adding (1, 0, y) for
+     generators y of the admissible y gives the whole family.
+The closure test in tests/test_aut.py checks in code that the
+closure of `aut.family_generators` is the enumerated family.
+
+`compare` is the one place both paths meet.  It runs the oracle once and
+checks there that the closed-form generator is among the fixed points; a
+generator that is not fixed is a fatal internal inconsistency
+(RuntimeError), never a disagreement.
 """
 
 from __future__ import annotations
@@ -62,16 +77,20 @@ def absolute_center_oracle(
 ) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
-    Scans all m*n elements against every enumerated automorphism (identity
-    skipped: it never rejects).  By construction the result is a subgroup
-    contained in the center.
+    Scans all m*n elements against `aut.family_generators`, never the
+    closed form and never the enumerated family.  That is exact: (1) the
+    common fixed points of a generating set are the fixed points of the
+    group; (2) (1, 1, 1) and the (g, 0, 1) generate the y = 1 subgroup,
+    Hol(C_m); (3) (x1, x2, y) |-> y maps the family onto the admissible y
+    with that kernel, so the (1, 0, y) complete the generating set.  The
+    closure test checks this in code.  By construction the result is a
+    subgroup contained in the center.
     """
     if t.order > oracle_bound:
         raise BoundExceededError(
             f"{t} has order {t.order} > oracle bound {oracle_bound}"
         )
-    identity = aut.identity_aut(t)
-    family = [a for a in aut.enumerate_family(t, "all") if a != identity]
+    gens = aut.family_generators(t)
     geo = t._geo
     m, n = t.m, t.n
     fixed: set[ZmElement] = set()
@@ -80,7 +99,7 @@ def absolute_center_oracle(
         for v in range(m):
             if all(
                 (y * u) % n == u and (x1 * v + x2 * gu) % m == v
-                for x1, x2, y in family
+                for x1, x2, y in gens
             ):
                 fixed.add(ZmElement(u, v))
     return fixed

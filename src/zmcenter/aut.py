@@ -14,8 +14,10 @@ m*phi(m)*n/d is exact; outside that regime the counting formulas carry a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .errors import AutParamError
@@ -29,6 +31,9 @@ class AutTriple(NamedTuple):
     x1: int
     x2: int
     y: int
+
+
+_new_aut_triple = functools.partial(tuple.__new__, AutTriple)
 
 
 def make_aut_triple(t: ZmTriple, x1: int, x2: int, y: int) -> AutTriple:
@@ -100,11 +105,50 @@ def conjugation(t: ZmTriple, h: ZmElement) -> AutTriple:
     return _from_generator_images(t, conj(t.element(0, 1)), conj(t.element(1, 0)))
 
 
+def _units(t: ZmTriple) -> list[int]:
+    return [x for x in range(t.m) if math.gcd(x, t.m) == 1]
+
+
 def valid_ys(t: ZmTriple) -> list[int]:
     """All admissible b-exponents: y = 1 (mod d) and gcd(y, n) = 1."""
     if t.n == 1:
         return [0]
     return [y for y in range(1, t.n, t.d) if math.gcd(y, t.n) == 1]
+
+
+def _greedy_generators(elements: list[int], modulus: int) -> list[int]:
+    """Generators of the multiplicative group `elements` mod `modulus`,
+    taken in list order: each one is kept only if it lies outside the
+    subgroup built so far, so each kept one at least doubles it."""
+    built = {1 % modulus}
+    gens = []
+    for g in elements:
+        if g in built:
+            continue
+        gens.append(g)
+        # <built, g> is the union of the cosets g^k * built
+        coset = built
+        new = set(built)
+        while True:
+            coset = {(g * h) % modulus for h in coset}
+            if coset <= new:
+                break
+            new |= coset
+        built = new
+    return gens
+
+
+def family_generators(t: ZmTriple) -> list[AutTriple]:
+    """A generating set of the "all" family, identity removed: (g, 0, 1)
+    for greedy generators g of the units mod m, then (1, 1, 1), then
+    (1, 0, y) for greedy generators y of `valid_ys`.  It has at most
+    1 + log2(phi(m)) + log2(|Y|) members."""
+    one_m, one_n = 1 % t.m, 1 % t.n
+    gens = [AutTriple(g, 0, one_n) for g in _greedy_generators(_units(t), t.m)]
+    gens.append(AutTriple(one_m, one_m, one_n))
+    gens += [AutTriple(one_m, 0, y) for y in _greedy_generators(valid_ys(t), t.n)]
+    identity = identity_aut(t)
+    return [a for a in gens if a != identity]
 
 
 def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
@@ -115,10 +159,11 @@ def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    units = [x for x in range(t.m) if math.gcd(x, t.m) == 1]
+    units = _units(t)
     ys = valid_ys(t)
     if family == "all":
-        out = [AutTriple(x1, x2, y) for x1 in units for x2 in range(t.m) for y in ys]
+        # tuple.__new__ builds the namedtuples in C: this list is m*phi(m)*|Y| long
+        out = list(map(_new_aut_triple, product(units, range(t.m), ys)))
     elif family == "central":
         out = [AutTriple(1 % t.m, 0, y) for y in ys]
     elif family == "ia":

@@ -8,6 +8,7 @@ JSON output (--json) is byte-identical across identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import abscenter, aut, genericgroup, realiser
@@ -259,9 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on the first call rather than at
+    import.  Reuse is safe: every parse_args call starts a fresh Namespace
+    from the action defaults."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TripleError, ValueError) as exc:

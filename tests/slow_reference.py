@@ -1,9 +1,11 @@
 """Slow references kept beside the tests: the code paths the package ran
 before forward verification was memoised, the closed form's fixedness
 recheck was folded into `abscenter.compare`, `CayleyGroup.closure`
-became a search by the seed elements, and `factorize` moved from pure
-trial division to trial division plus Pollard-Brent rho.  The tests check
-the package against them; they are never used by the package itself.
+became a search by the seed elements, `factorize` moved from pure
+trial division to trial division plus Pollard-Brent rho, and the
+fixed-point oracle moved from the whole enumerated automorphism family
+to a generating set of it.  The tests check the package against them;
+they are never used by the package itself.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import math
 
 from zmcenter import abscenter, aut, realiser
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
+from zmcenter.errors import BoundExceededError
 from zmcenter.genericgroup import CayleyGroup
 from zmcenter.numtheory import Factorization, factorize, geometric_sum_mod, is_prime
-from zmcenter.zm import ZmTriple
+from zmcenter.zm import ZmElement, ZmTriple
 
 
 def reference_absolute_center_formula(
@@ -35,6 +38,35 @@ def reference_absolute_center_formula(
                     "parameter constraints are broken"
                 )
     return result
+
+
+def reference_absolute_center_oracle(
+    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
+) -> set[ZmElement]:
+    """The exact fixed-point set of the full automorphism family.
+
+    Scans all m*n elements against every enumerated automorphism (identity
+    skipped: it never rejects).  By construction the result is a subgroup
+    contained in the center.
+    """
+    if t.order > oracle_bound:
+        raise BoundExceededError(
+            f"{t} has order {t.order} > oracle bound {oracle_bound}"
+        )
+    identity = aut.identity_aut(t)
+    family = [a for a in aut.enumerate_family(t, "all") if a != identity]
+    geo = t._geo
+    m, n = t.m, t.n
+    fixed: set[ZmElement] = set()
+    for u in range(n):
+        gu = geo[u]
+        for v in range(m):
+            if all(
+                (y * u) % n == u and (x1 * v + x2 * gu) % m == v
+                for x1, x2, y in family
+            ):
+                fixed.add(ZmElement(u, v))
+    return fixed
 
 
 def reference_verify_forward(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from slow_reference import reference_absolute_center_formula
+from slow_reference import reference_absolute_center_formula, reference_absolute_center_oracle
 from zmcenter import abscenter, aut, cli
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import geometric_sum_mod
@@ -114,6 +114,16 @@ class TestOracle:
     def test_bound_enforced(self, zm_5_16_2):
         with pytest.raises(BoundExceededError):
             abscenter.absolute_center_oracle(zm_5_16_2, oracle_bound=79)
+
+    def test_equals_whole_family_scan(self):
+        regimes = set()
+        for t in iter_valid_triples(400):
+            assert abscenter.absolute_center_oracle(t) == reference_absolute_center_oracle(t), t
+            regimes.add(t.regime_guaranteed)
+        assert regimes == {True, False}
+        for n in range(1, 31):
+            t = validate_triple(1, n, 1)
+            assert abscenter.absolute_center_oracle(t) == reference_absolute_center_oracle(t), t
 
 
 class TestCompare:

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from zmcenter import aut
 from zmcenter.errors import AutParamError
-from zmcenter.zm import ZmElement, validate_triple
+from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
 
 from conftest import SMALL_TRIPLES
 
@@ -164,6 +165,57 @@ class TestEnumerateFamily:
                 for g in t.elements():
                     image = aut.apply(t, alpha, g)
                     assert image.u == g.u  # differs only inside <a>
+
+
+def generated_closure(t, gens) -> set:
+    """Every product of the generators under aut.compose (a finite group,
+    so positive words already reach the inverses)."""
+    members = {aut.identity_aut(t)}
+    frontier = list(members)
+    while frontier:
+        alpha = frontier.pop()
+        for g in gens:
+            beta = aut.compose(t, g, alpha)
+            if beta not in members:
+                members.add(beta)
+                frontier.append(beta)
+    return members
+
+
+CYCLIC_TRIPLES = [validate_triple(1, n, 1) for n in range(1, 31)]
+
+
+class TestFamilyGenerators:
+    def test_closure_is_the_family(self):
+        checked = 0
+        for t in [*iter_valid_triples(150), *CYCLIC_TRIPLES]:
+            gens = aut.family_generators(t)
+            assert generated_closure(t, gens) == set(aut.enumerate_family(t, "all")), t
+            checked += 1
+        assert checked == 192 + 30
+
+    def test_size_is_logarithmic(self):
+        for t in [*iter_valid_triples(400), *CYCLIC_TRIPLES]:
+            gens = aut.family_generators(t)
+            phi, ys = t.phi_m, len(aut.valid_ys(t))
+            assert len(gens) <= 1 + math.log2(phi) + math.log2(ys), t
+            unit_gens = [a for a in gens if a.x2 == 0 and a.y == 1 % t.n]
+            y_gens = [a for a in gens if a.y != 1 % t.n]
+            assert 2 ** len(unit_gens) <= phi and 2 ** len(y_gens) <= ys, t
+
+    def test_classic_fixture(self, zm_5_16_2):
+        # units mod 5 are cyclic on 2; the admissible y = 1 mod 4 mod 16
+        # are cyclic on 5
+        assert aut.family_generators(zm_5_16_2) == [
+            aut.AutTriple(2, 0, 1),
+            aut.AutTriple(1, 1, 1),
+            aut.AutTriple(1, 0, 5),
+        ]
+
+    def test_identity_never_listed(self):
+        for t in CYCLIC_TRIPLES:
+            assert aut.identity_aut(t) not in aut.family_generators(t)
+        assert aut.family_generators(validate_triple(1, 1, 1)) == []
 
 
 class TestAutCounts:

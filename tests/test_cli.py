@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from zmcenter import aut, cli, genericgroup, schemas
+from zmcenter import abscenter, aut, cli, genericgroup, schemas
 from zmcenter.zm import ZmTriple
 
 
@@ -114,13 +114,18 @@ class TestOracleCheck:
     @pytest.mark.parametrize("triple", [("101", "625", "16"), ("1009", "2", "1008")])
     def test_above_oracle_bound_refused_before_enumeration(self, capsys, monkeypatch, triple):
         calls = []
-        real_enumerate = aut.enumerate_family
+        for module, name in [
+            (aut, "enumerate_family"),
+            (aut, "family_generators"),
+            (abscenter, "absolute_center_oracle"),
+        ]:
+            real = getattr(module, name)
 
-        def enumerate_family(*args, **kwargs):
-            calls.append(args)
-            return real_enumerate(*args, **kwargs)
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(aut, "enumerate_family", enumerate_family)
+            monkeypatch.setattr(module, name, spy)
         code, out, err = run(capsys, "oracle-check", *triple, "--json")
         assert code == 3
         assert out == ""
@@ -151,6 +156,35 @@ class TestOracleCheck:
         assert doc["aut_formula"] == 84 and doc["aut_enumerated"] == 42
         assert doc["aut_bruteforce"] == 42 and doc["aut_sets_match"] is True
         assert doc["agree"] is False
+
+
+def run_any(capsys, argv):
+    """Like `run`, but an argparse error gives its exit code too."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    SEQUENCE = [
+        ["verify", "4", "--converse", "--aut-bound", "10"],
+        ["oracle-check", "5", "16", "2", "--subgroup-bound", "3"],
+        ["verify", "4", "--converse"],
+        ["abscenter", "5", "16", "2", "--json"],
+    ]
+
+    def test_no_state_carried_between_calls(self, capsys, monkeypatch):
+        cli._shared_parser.cache_clear()
+        shared = [run_any(capsys, argv) for argv in self.SEQUENCE]
+        assert cli._shared_parser() is cli._shared_parser()
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [run_any(capsys, argv) for argv in self.SEQUENCE]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [3, 2, 0, 0]
+        assert "overall: PASS" in shared[2][1]
 
 
 class TestUsage:
