@@ -105,7 +105,8 @@ def conjugation(t: ZmTriple, h: ZmElement) -> AutTriple:
     return _from_generator_images(t, conj(t.element(0, 1)), conj(t.element(1, 0)))
 
 
-def _units(t: ZmTriple) -> list[int]:
+def units(t: ZmTriple) -> list[int]:
+    """The admissible x1: residues mod m prime to m."""
     return [x for x in range(t.m) if math.gcd(x, t.m) == 1]
 
 
@@ -144,7 +145,7 @@ def family_generators(t: ZmTriple) -> list[AutTriple]:
     (1, 0, y) for greedy generators y of `valid_ys`.  It has at most
     1 + log2(phi(m)) + log2(|Y|) members."""
     one_m, one_n = 1 % t.m, 1 % t.n
-    gens = [AutTriple(g, 0, one_n) for g in _greedy_generators(_units(t), t.m)]
+    gens = [AutTriple(g, 0, one_n) for g in _greedy_generators(units(t), t.m)]
     gens.append(AutTriple(one_m, one_m, one_n))
     gens += [AutTriple(one_m, 0, y) for y in _greedy_generators(valid_ys(t), t.n)]
     identity = identity_aut(t)
@@ -159,15 +160,15 @@ def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    units = _units(t)
+    x1s = units(t)
     ys = valid_ys(t)
     if family == "all":
         # tuple.__new__ builds the namedtuples in C: this list is m*phi(m)*|Y| long
-        out = list(map(_new_aut_triple, product(units, range(t.m), ys)))
+        out = list(map(_new_aut_triple, product(x1s, range(t.m), ys)))
     elif family == "central":
         out = [AutTriple(1 % t.m, 0, y) for y in ys]
     elif family == "ia":
-        out = [AutTriple(x1, x2, 1 % t.n) for x1 in units for x2 in range(t.m)]
+        out = [AutTriple(x1, x2, 1 % t.n) for x1 in x1s for x2 in range(t.m)]
     else:
         seen = {conjugation(t, t.element(s, w)) for s in range(t.d) for w in range(t.m)}
         out = list(seen)

@@ -166,8 +166,8 @@ def _cmd_oracle_check(args) -> int:
     if cmp.oracle_order is None:
         # refuse before enumerating a family that no comparison would use
         raise BoundExceededError(f"{t} has order {t.order} > oracle bound {bounds.oracle}")
-    family = aut.enumerate_family(t, "all")
-    enumerated = len(family)
+    # the size of enumerate_family(t, "all"), the product of the lists it multiplies
+    enumerated = len(aut.units(t)) * t.m * len(aut.valid_ys(t))
     formula_aut = aut.aut_counts(t).aut
     brute_aut: int | None = None
     aut_tables_agree: bool | None = None
@@ -176,6 +176,7 @@ def _cmd_oracle_check(args) -> int:
         group = t.cayley(bounds.table)
         perms = genericgroup.automorphisms_bruteforce(group, bounds.aut)
         brute_aut = len(perms)
+        family = aut.enumerate_family(t, "all")
         aut_tables_agree = set(perms) == {aut.to_permutation(t, a) for a in family}
         l_brute = genericgroup.fixed_subgroup(group, perms).order
     aut_agree = formula_aut == enumerated and (brute_aut is None or brute_aut == enumerated)

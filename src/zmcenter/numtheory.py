@@ -81,13 +81,6 @@ class Factorization:
                 return a
         return 0
 
-    @property
-    def radical(self) -> int:
-        out = 1
-        for p, _ in self.pairs:
-            out *= p
-        return out
-
     def divisors(self) -> list[int]:
         divs = [1]
         for p, a in self.pairs:

@@ -115,7 +115,9 @@ def validate_certificate(cert: RealiserCertificate) -> None:
             raise CertificateError(f"{f.p} is not prime")
         if (f.p - 1) % f.q_pow != 0:
             raise CertificateError(f"{f.p} is not 1 mod {f.q_pow}")
-        if multiplicative_order(f.r, f.p) != f.q_pow:
+        # q is prime (the factors match factorize(N)), so ord_p(r) = q^alpha
+        # iff r^(q^alpha) = 1 and r^(q^(alpha-1)) != 1
+        if pow(f.r, f.q_pow, f.p) != 1 or pow(f.r, f.q_pow // f.q, f.p) == 1:
             raise CertificateError(
                 f"order of {f.r} mod {f.p} is {multiplicative_order(f.r, f.p)}, "
                 f"expected {f.q_pow}"

@@ -4,8 +4,10 @@ recheck was folded into `abscenter.compare`, `CayleyGroup.closure`
 became a search by the seed elements, `factorize` moved from pure
 trial division to trial division plus Pollard-Brent rho, and the
 fixed-point oracle moved from the whole enumerated automorphism family
-to a generating set of it.  The tests check the package against them;
-they are never used by the package itself.
+to a generating set of it, and `CayleyGroup` moved from checking every
+triple for associativity to Light's test on a generating set.  The tests
+check the package against them; they are never used by the package
+itself.
 """
 
 from __future__ import annotations
@@ -178,3 +180,20 @@ def reference_factorize(n: int) -> Factorization:
         pairs.append((n, 1))
     pairs.sort()
     return Factorization(tuple(pairs))
+
+
+def reference_is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
+    """Associativity of a table by checking every triple: O(n^3) products.
+    Up to order 200 this was the check `CayleyGroup.from_table` ran (above
+    that it sampled 20,000 seeded triples)."""
+    n = len(table)
+    t = table
+    for i in range(n):
+        ti = t[i]
+        for j in range(n):
+            tij = ti[j]
+            tj = t[j]
+            for k in range(n):
+                if t[tij][k] != ti[tj[k]]:
+                    return False
+    return True

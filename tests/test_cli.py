@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from zmcenter import abscenter, aut, cli, genericgroup, schemas
+from zmcenter import abscenter, aut, cli, genericgroup, numtheory, realiser, schemas, zm
 from zmcenter.zm import ZmTriple
 
 
@@ -79,6 +79,22 @@ class TestRealise:
         _, out2, _ = run(capsys, "realise", "30", "--json")
         assert out1 == out2
 
+    def test_certificate_check_does_not_factor_again(self, capsys, monkeypatch):
+        calls = []
+        real = numtheory.factorize
+
+        def factorize(n, *args, **kwargs):
+            calls.append(n)
+            return real(n, *args, **kwargs)
+
+        for module in (numtheory, realiser, zm):
+            monkeypatch.setattr(module, "factorize", factorize)
+        code, out, _ = run(capsys, "realise", "18809838571", "--json")
+        assert code == 0
+        assert json.loads(out)["N"] == 18809838571
+        # the check of ord_p(r) = q^alpha factors neither p nor p - 1
+        assert len(calls) == 12
+
 
 class TestVerify:
     def test_forward_pass(self, capsys):
@@ -131,6 +147,32 @@ class TestOracleCheck:
         assert out == ""
         assert "> oracle bound 2000" in err
         assert calls == []
+
+    def test_family_counted_without_enumeration(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(aut, "enumerate_family", lambda *a, **k: calls.append(a))
+        code, out, _ = run(capsys, "oracle-check", "997", "2", "996", "--json")
+        assert code == 0
+        assert calls == []
+        assert json.loads(out) == {
+            "agree": True,
+            "aut_bruteforce": None,
+            "aut_enumerated": 993012,
+            "aut_formula": 993012,
+            "aut_sets_match": None,
+            "l_bruteforce": None,
+            "l_formula": 1,
+            "l_oracle": 1,
+            "regime_guaranteed": True,
+            "schema": 1,
+            "triple": {"m": 997, "n": 2, "r": 996},
+        }
+
+    def test_count_is_the_enumerated_family_size(self, capsys):
+        for triple in ("5 16 2", "7 6 2", "7 9 2"):
+            t = zm.validate_triple(*map(int, triple.split()))
+            _, out, _ = run(capsys, "oracle-check", *triple.split(), "--json")
+            assert json.loads(out)["aut_enumerated"] == len(aut.enumerate_family(t, "all"))
 
     def test_one_bruteforce_automorphism_search(self, capsys, monkeypatch):
         calls = []

@@ -84,6 +84,8 @@ def _cli_argvs() -> list[list[str]]:
     ]
     argvs += [["oracle-check", *t.split(), *f] for t in oracle_triples for f in TEXT_AND_JSON]
     argvs += [["oracle-check", "5", "16", "2", "--aut-bound", "10", *f] for f in TEXT_AND_JSON]
+    # order 1994 is above the aut bound; the family has 993,012 members
+    argvs += [["oracle-check", "997", "2", "996", *f] for f in TEXT_AND_JSON]
     argvs += [["realise", str(n), "--json"] for n in _realise_inputs()]
     return argvs
 

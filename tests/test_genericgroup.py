@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from slow_reference import reference_closure
+from slow_reference import reference_closure, reference_is_associative
 from zmcenter import aut, genericgroup as gg
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import factorize
@@ -52,6 +53,113 @@ class TestCayleyGroupConstruction:
 
     def test_dump_format(self):
         assert dump_table(gg.cyclic_group(2)) == "2\n0 1\n1 0\n"
+
+
+def _accepted(table) -> bool:
+    try:
+        gg.CayleyGroup.from_table(table)
+    except ValueError as exc:
+        assert "associativity fails" in str(exc)
+        return False
+    return True
+
+
+def _random_latin_square_with_identity(rng: random.Random, n: int):
+    """Fill a reduced Latin square (first row and column 0..n-1) cell by
+    cell with shuffled candidates, backtracking on dead ends, then relabel
+    it by a random permutation so the identity lands anywhere."""
+    rows = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+
+    def fill(cell: int) -> bool:
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        if rows[i][j] >= 0:
+            return fill(cell + 1)
+        candidates = [v for v in range(n) if v not in rows[i] and all(r[j] != v for r in rows)]
+        rng.shuffle(candidates)
+        for v in candidates:
+            rows[i][j] = v
+            if fill(cell + 1):
+                return True
+        rows[i][j] = -1
+        return False
+
+    assert fill(0)
+    return _relabel(tuple(map(tuple, rows)), rng)
+
+
+def _relabel(table, rng: random.Random):
+    n = len(table)
+    pi = list(range(n))
+    rng.shuffle(pi)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[pi[i]][pi[j]] = pi[table[i][j]]
+    return tuple(map(tuple, out))
+
+
+def _cyclic_with_intercalate_swapped(n: int) -> tuple[tuple[int, ...], ...]:
+    """C_n with the 2x2 sub-square at rows 3, 3 + n/2 and columns 7,
+    7 + n/2 exchanged (each entry shifted by n/2): still a Latin square
+    with identity 0, no longer associative."""
+    half = n // 2
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i in (3, 3 + half):
+        for j in (7, 7 + half):
+            rows[i][j] = (rows[i][j] + half) % n
+    return tuple(map(tuple, rows))
+
+
+# a loop of order 6 on which Light's test passes for the generator 3 and
+# fails only for the second generator 1
+LOOP_6 = (
+    (0, 1, 2, 3, 4, 5),
+    (1, 0, 5, 2, 3, 4),
+    (2, 3, 0, 4, 5, 1),
+    (3, 4, 1, 5, 2, 0),
+    (4, 5, 3, 1, 0, 2),
+    (5, 2, 4, 0, 1, 3),
+)
+
+
+class TestAssociativityCheck:
+    @pytest.mark.parametrize(
+        "t", list(iter_valid_triples(REFERENCE_LATTICE_MAX_ORDER)), ids=str
+    )
+    def test_every_small_zm_table_agrees_with_reference(self, t):
+        table = t.cayley().table
+        assert reference_is_associative(table)
+        assert _accepted(table)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_latin_squares_agree_with_reference(self, n):
+        rng = random.Random(0x11647 + n)
+        squares = [_random_latin_square_with_identity(rng, n) for _ in range(300)]
+        # relabelled group tables, so that both verdicts are exercised
+        groups = [gg.cyclic_group(n)] + ([validate_triple(3, 2, 2).cayley()] if n == 6 else [])
+        squares += [_relabel(g.table, rng) for g in groups for _ in range(20)]
+        verdicts = [reference_is_associative(sq) for sq in squares]
+        assert [_accepted(sq) for sq in squares] == verdicts
+        assert True in verdicts and False in verdicts
+
+    def test_loop_failing_on_the_second_generator_only(self):
+        unchecked = gg.CayleyGroup(6, LOOP_6, tuple("abcdef"), 0)
+        assert gg._generating_sequence(unchecked) == [3, 1]
+
+        def light_passes(a: int) -> bool:
+            t = LOOP_6
+            return all(t[t[x][a]][y] == t[x][t[a][y]] for x in range(6) for y in range(6))
+
+        assert light_passes(3) and not light_passes(1)
+        assert not reference_is_associative(LOOP_6)
+        assert not _accepted(LOOP_6)
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_large_intercalate_swap_rejected(self, n):
+        # one swapped 2x2 sub-square breaks few triples: sampling misses it
+        assert not _accepted(_cyclic_with_intercalate_swapped(n))
 
 
 class TestDirectProduct:
@@ -135,6 +243,30 @@ class TestSubgroups:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             gg.subgroups(gg.cyclic_group(12), subgroup_bound=10)
+
+
+class TestSubgroupsSeedCount:
+    @pytest.mark.parametrize(
+        "group",
+        [
+            validate_triple(5, 16, 2).cayley(),
+            validate_triple(7, 9, 2).cayley(),
+            gg.cyclic_group(30),
+            gg.direct_product([validate_triple(3, 4, 2).cayley(), gg.cyclic_group(2)]),
+        ],
+        ids=["ZM(5,16,2)", "ZM(7,9,2)", "C30", "Dic3xC2"],
+    )
+    def test_at_most_log2_order_plus_one_seeds(self, group, monkeypatch):
+        seed_sizes = []
+        real = gg.CayleyGroup.closure
+
+        def closure(self, seed):
+            seed_sizes.append(len(set(seed)))
+            return real(self, seed)
+
+        monkeypatch.setattr(gg.CayleyGroup, "closure", closure)
+        gg.subgroups(group)
+        assert max(seed_sizes) <= math.floor(math.log2(group.order)) + 1
 
 
 def _lattices_with_both_closures(group: gg.CayleyGroup, monkeypatch):

@@ -156,10 +156,6 @@ class TestFactorize:
         assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
         assert factorize(1).divisors() == [1]
 
-    def test_radical(self):
-        assert factorize(48).radical == 6
-        assert factorize(1).radical == 1
-
 
 class TestEulerPhi:
     def test_known_values(self):
