@@ -1,7 +1,7 @@
 """The absolute center L(G) of a ZM-group: the closed form <b^(d*e)> with
-e = n / gcd(n, d^2), and an independent fixed-point oracle that scans
-every element against a generating set of the parametrized automorphism
-family.
+e = n / gcd(n, d^2), and an independent fixed-point oracle that scans the
+b-exponents and the a-exponents separately against a generating set of
+the parametrized automorphism family.
 
 The closed form is always a subgroup of L (its generator really is fixed
 by every parametrized automorphism); it is provably all of L when every
@@ -19,6 +19,11 @@ Why a generating set suffices:
   3. (x1, x2, y) |-> y is a homomorphism from the family onto the
      admissible y with exactly that kernel, so adding (1, 0, y) for
      generators y of the admissible y gives the whole family.
+  4. b^u a^v is fixed by (x1, x2, y) iff y*u = u (mod n) and
+     (x1 - 1)*v + x2*[u]_r = 0 (mod m).  Every generator above has
+     x1 = 1 or x2 = 0 (mod m), so each condition involves u alone or v
+     alone, and the fixed set is a product U x V: n + m residues are
+     tested, not m*n elements.
 The closure test in tests/test_aut.py checks in code that the
 closure of `aut.family_generators` is the enumerated family.
 
@@ -77,32 +82,35 @@ def absolute_center_oracle(
 ) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
-    Scans all m*n elements against `aut.family_generators`, never the
-    closed form and never the enumerated family.  That is exact: (1) the
-    common fixed points of a generating set are the fixed points of the
-    group; (2) (1, 1, 1) and the (g, 0, 1) generate the y = 1 subgroup,
-    Hol(C_m); (3) (x1, x2, y) |-> y maps the family onto the admissible y
-    with that kernel, so the (1, 0, y) complete the generating set.  The
-    closure test checks this in code.  By construction the result is a
-    subgroup contained in the center.
+    Tests residues against `aut.family_generators`, never the closed form
+    and never the enumerated family.  That is exact: (1) the common fixed
+    points of a generating set are the fixed points of the group; (2)
+    (1, 1, 1) and the (g, 0, 1) generate the y = 1 subgroup, Hol(C_m); (3)
+    (x1, x2, y) |-> y maps the family onto the admissible y with that
+    kernel, so the (1, 0, y) complete the generating set; (4) each
+    generator has x1 = 1 or x2 = 0 (mod m), so its condition
+    (x1 - 1)*v + x2*[u]_r = 0 (mod m) is x2*[u]_r = 0 or (x1 - 1)*v = 0,
+    and the fixed set is U x V: U the u in [0, n) with y*u = u and
+    x2*[u]_r = 0 for every generator, V the v in [0, m) with
+    (x1 - 1)*v = 0 for every generator.  A generator with x1 != 1 and
+    x2 != 0 is a RuntimeError.  The closure test checks (1)-(3) in code.
+    By construction the result is a subgroup contained in the center.
     """
     if t.order > oracle_bound:
         raise BoundExceededError(
             f"{t} has order {t.order} > oracle bound {oracle_bound}"
         )
     gens = aut.family_generators(t)
-    geo = t._geo
     m, n = t.m, t.n
-    fixed: set[ZmElement] = set()
-    for u in range(n):
-        gu = geo[u]
-        for v in range(m):
-            if all(
-                (y * u) % n == u and (x1 * v + x2 * gu) % m == v
-                for x1, x2, y in gens
-            ):
-                fixed.add(ZmElement(u, v))
-    return fixed
+    if any((x1 - 1) % m and x2 % m for x1, x2, _ in gens):
+        raise RuntimeError(f"a generator of Aut({t}) has x1 != 1 and x2 != 0")
+    geo = t._geo
+    us = [
+        u for u in range(n)
+        if all((y * u) % n == u and (x2 * geo[u]) % m == 0 for _, x2, y in gens)
+    ]
+    vs = [v for v in range(m) if all(((x1 - 1) * v) % m == 0 for x1, _, _ in gens)]
+    return {ZmElement(u, v) for u in us for v in vs}
 
 
 @dataclass(frozen=True)

@@ -68,33 +68,6 @@ def _from_generator_images(t: ZmTriple, img_a: ZmElement, img_b: ZmElement) -> A
     return make_aut_triple(t, x1=img_a.v, x2=img_b.v, y=img_b.u)
 
 
-def compose(t: ZmTriple, alpha: AutTriple, beta: AutTriple) -> AutTriple:
-    """The unique triple of alpha after beta, solved on the generators."""
-    a = t.element(0, 1)
-    b = t.element(1, 0)
-    try:
-        return _from_generator_images(
-            t,
-            apply(t, alpha, apply(t, beta, a)),
-            apply(t, alpha, apply(t, beta, b)),
-        )
-    except AutParamError as exc:  # closure failure would break the whole model
-        raise RuntimeError(
-            f"composite of valid automorphisms is invalid for {t}: {exc}"
-        ) from exc
-
-
-def invert(t: ZmTriple, alpha: AutTriple) -> AutTriple:
-    """Compositional inverse: x1, y invert modularly and x2 follows."""
-    x1_inv = pow(alpha.x1, -1, t.m) if t.m > 1 else 0
-    y_inv = pow(alpha.y, -1, t.n) if t.n > 1 else 0
-    x2 = (-x1_inv * alpha.x2 * geometric_sum_mod(t.r, y_inv, t.m)) % t.m
-    beta = make_aut_triple(t, x1_inv, x2, y_inv)
-    if compose(t, alpha, beta) != identity_aut(t):
-        raise RuntimeError(f"inverse construction failed for {alpha} on {t}")
-    return beta
-
-
 def conjugation(t: ZmTriple, h: ZmElement) -> AutTriple:
     """The inner automorphism g |-> h^-1 g h as a parameter triple."""
     h_inv = t.inverse(h)

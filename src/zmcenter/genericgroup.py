@@ -313,16 +313,6 @@ def fixed_subgroup(group: CayleyGroup, perms: list[tuple[int, ...]]) -> Subgroup
     return Subgroup(group, tuple(fixed))
 
 
-def center_bruteforce(group: CayleyGroup) -> Subgroup:
-    """Elements commuting with everything, straight off the table."""
-    t = group.table
-    n = group.order
-    members = [
-        i for i in range(n) if all(t[i][j] == t[j][i] for j in range(n))
-    ]
-    return Subgroup(group, tuple(members))
-
-
 def is_cyclic(s: Subgroup) -> tuple[bool, int]:
     """(True iff some member generates all of s, |s|)."""
     k = s.order

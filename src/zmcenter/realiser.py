@@ -12,7 +12,8 @@ Verification:
     each factor to q^(a + beta); the closed form always sits in its
     guaranteed regime here, and small factors are cross-checked against the
     fixed-point oracle.  The factor triple depends only on beta, so each
-    distinct triple goes through `abscenter.compare` once per verification.
+    (factor, beta) is validated and goes through `abscenter.compare` once
+    per verification.
   * converse - subgroups of a coprime direct product split as products of
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
@@ -52,7 +53,12 @@ class FactorWitness:
         return self.q**self.alpha
 
     def triple(self) -> ZmTriple:
-        return validate_triple(self.p, self.q ** (2 * self.alpha), self.r)
+        return self.divisor_triple(self.alpha)
+
+    def divisor_triple(self, beta: int) -> ZmTriple:
+        """ZM(p, q^(alpha+beta), r): this factor in the subgroup realizing
+        a divisor in which q has exponent beta."""
+        return validate_triple(self.p, self.q ** (self.alpha + beta), self.r)
 
 
 @dataclass(frozen=True)
@@ -157,10 +163,7 @@ def subgroup_for_divisor(cert: RealiserCertificate, n1: int) -> list[ZmTriple]:
     if n1 < 1 or cert.N % n1 != 0:
         raise ValueError(f"{n1} does not divide {cert.N}")
     n1_fact = factorize(n1)
-    return [
-        validate_triple(f.p, f.q ** (f.alpha + n1_fact.exponent_of(f.q)), f.r)
-        for f in cert.factors
-    ]
+    return [f.divisor_triple(n1_fact.exponent_of(f.q)) for f in cert.factors]
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +287,27 @@ def verify_forward(
     multiply to N1, and every factor small enough is cross-checked against
     the fixed-point oracle.  Disagreements are recorded, never raised.
 
-    A factor triple depends only on the exponent of its q in N1, so many
-    divisors share it; each distinct triple is compared once per call.
+    A factor triple depends only on the exponent beta of its q in N1, so
+    many divisors share it; each (factor, beta) is validated and compared
+    once per call.
     """
-    compared: dict[ZmTriple, ForwardFactorRow] = {}
+    compared: dict[tuple[FactorWitness, int], ForwardFactorRow] = {}
     rows = []
     for n1 in factorize(cert.N).divisors():
+        n1_fact = factorize(n1)
         factor_rows = []
-        for t in subgroup_for_divisor(cert, n1):
-            if t not in compared:
+        for f in cert.factors:
+            beta = n1_fact.exponent_of(f.q)
+            if (f, beta) not in compared:
+                t = f.divisor_triple(beta)
                 cmp = abscenter.compare(t, bounds.oracle)
-                compared[t] = ForwardFactorRow(
+                compared[f, beta] = ForwardFactorRow(
                     triple=t,
                     formula_order=cmp.formula_order,
                     oracle_order=cmp.oracle_order,
                     agree=cmp.agree,
                 )
-            factor_rows.append(compared[t])
+            factor_rows.append(compared[f, beta])
         formula_product = math.prod(fr.formula_order for fr in factor_rows)
         oracle_product = None
         if all(fr.oracle_order is not None for fr in factor_rows):

@@ -93,29 +93,11 @@ class ZmTriple:
             (g.v * geometric_sum_mod(base, k, self.m)) % self.m,
         )
 
-    def element_order(self, g: ZmElement) -> int:
-        """Least k >= 1 with g^k = 1.
-
-        The order divides m*n, so start there and strip unnecessary prime
-        factors; each probe is one closed-form power, never a walk.
-        """
-        k = self.m * self.n
-        primes = {p for p, _ in factorize(self.m).pairs}
-        primes |= {p for p, _ in factorize(self.n).pairs}
-        for p in sorted(primes):
-            while k % p == 0 and self.power(g, k // p) == self.identity:
-                k //= p
-        return k
-
     # -- structural subgroups ----------------------------------------------
 
     def center(self) -> tuple[ZmElement, int]:
         """(generator, order) of the center <b^d>."""
         return self.element(self.d, 0), self.n // self.d
-
-    def derived_subgroup(self) -> tuple[ZmElement, int]:
-        """(generator, order) of the commutator subgroup <a>."""
-        return self.element(0, 1), self.m
 
     # -- caches for the table-driven paths (bounded sizes only) -------------
 

@@ -2,12 +2,12 @@
 before forward verification was memoised, the closed form's fixedness
 recheck was folded into `abscenter.compare`, `CayleyGroup.closure`
 became a search by the seed elements, `factorize` moved from pure
-trial division to trial division plus Pollard-Brent rho, and the
-fixed-point oracle moved from the whole enumerated automorphism family
-to a generating set of it, and `CayleyGroup` moved from checking every
-triple for associativity to Light's test on a generating set.  The tests
-check the package against them; they are never used by the package
-itself.
+trial division to trial division plus Pollard-Brent rho, the fixed-point
+oracle moved from the whole enumerated automorphism family to a
+generating set of it and then from every element to the product of the
+u- and v-residues, and `CayleyGroup` moved from checking every triple
+for associativity to Light's test on a generating set.  The tests check
+the package against them; they are never used by the package itself.
 """
 
 from __future__ import annotations
@@ -66,6 +66,39 @@ def reference_absolute_center_oracle(
             if all(
                 (y * u) % n == u and (x1 * v + x2 * gu) % m == v
                 for x1, x2, y in family
+            ):
+                fixed.add(ZmElement(u, v))
+    return fixed
+
+
+def reference_generator_oracle(
+    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
+) -> set[ZmElement]:
+    """The exact fixed-point set of the full automorphism family.
+
+    Scans all m*n elements against `aut.family_generators`, never the
+    closed form and never the enumerated family.  That is exact: (1) the
+    common fixed points of a generating set are the fixed points of the
+    group; (2) (1, 1, 1) and the (g, 0, 1) generate the y = 1 subgroup,
+    Hol(C_m); (3) (x1, x2, y) |-> y maps the family onto the admissible y
+    with that kernel, so the (1, 0, y) complete the generating set.  The
+    closure test checks this in code.  By construction the result is a
+    subgroup contained in the center.
+    """
+    if t.order > oracle_bound:
+        raise BoundExceededError(
+            f"{t} has order {t.order} > oracle bound {oracle_bound}"
+        )
+    gens = aut.family_generators(t)
+    geo = t._geo
+    m, n = t.m, t.n
+    fixed: set[ZmElement] = set()
+    for u in range(n):
+        gu = geo[u]
+        for v in range(m):
+            if all(
+                (y * u) % n == u and (x1 * v + x2 * gu) % m == v
+                for x1, x2, y in gens
             ):
                 fixed.add(ZmElement(u, v))
     return fixed

@@ -2,7 +2,11 @@ import math
 
 import pytest
 
-from slow_reference import reference_absolute_center_formula, reference_absolute_center_oracle
+from slow_reference import (
+    reference_absolute_center_formula,
+    reference_absolute_center_oracle,
+    reference_generator_oracle,
+)
 from zmcenter import abscenter, aut, cli
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import geometric_sum_mod
@@ -124,6 +128,51 @@ class TestOracle:
         for n in range(1, 31):
             t = validate_triple(1, n, 1)
             assert abscenter.absolute_center_oracle(t) == reference_absolute_center_oracle(t), t
+
+    def test_equals_element_by_element_generator_scan(self):
+        regimes = []
+        for t in iter_valid_triples(1000):
+            assert abscenter.absolute_center_oracle(t) == reference_generator_oracle(t), t
+            regimes.append(t.regime_guaranteed)
+        assert len(regimes) == 2897 and set(regimes) == {True, False}
+        for n in range(1, 31):
+            t = validate_triple(1, n, 1)
+            assert abscenter.absolute_center_oracle(t) == reference_generator_oracle(t), t
+
+    def test_non_splitting_generator_raises(self, monkeypatch, zm_5_4_2):
+        # (2, 1, 1) is a real automorphism of ZM(5,4,2), but with x1 != 1
+        # and x2 != 0 its condition ties u to v, so the product scan is void
+        real_generators = aut.family_generators
+        monkeypatch.setattr(
+            aut, "family_generators", lambda t: [*real_generators(t), aut.AutTriple(2, 1, 1)]
+        )
+        with pytest.raises(RuntimeError):
+            abscenter.absolute_center_oracle(zm_5_4_2)
+
+    def test_never_enumerates_the_family_or_reads_the_closed_form(
+        self, monkeypatch, small_triples
+    ):
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(aut, "enumerate_family", spy("enumerate_family", aut.enumerate_family))
+        monkeypatch.setattr(
+            abscenter,
+            "absolute_center_formula",
+            spy("absolute_center_formula", abscenter.absolute_center_formula),
+        )
+        for t in [*small_triples, *iter_valid_triples(200)]:
+            abscenter.absolute_center_oracle(t)
+        assert calls == []
+        # the spies are live: the comparison does read the closed form
+        abscenter.compare(small_triples[2])
+        assert calls == ["absolute_center_formula"]
 
 
 class TestCompare:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from slow_reference import reference_verify_forward
-from zmcenter import abscenter, realiser
+from zmcenter import abscenter, cli, realiser
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError
 from zmcenter.numtheory import factorize
@@ -171,6 +171,37 @@ class TestVerifyForward:
         # no state survives the call: a second verification compares again
         assert realiser.verify_forward(cert) == rows
         assert len(compared) == 2 * len(distinct)
+
+    def test_each_factor_exponent_validated_once(self, monkeypatch):
+        # verify 720720 = 2^4 3^2 5 7 11 13: the (factor, beta) pairs number
+        # 5 + 3 + 2 + 2 + 2 + 2, while the factor triples of all 240
+        # divisors number 6 * 240
+        validated = []
+        inside = []
+        real_validate, real_forward = realiser.validate_triple, realiser.verify_forward
+
+        def counting_validate(m, n, r):
+            if inside:
+                validated.append((m, n, r))
+            return real_validate(m, n, r)
+
+        def marked_forward(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_forward(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(realiser, "validate_triple", counting_validate)
+        monkeypatch.setattr(realiser, "verify_forward", marked_forward)
+        assert cli.main(["verify", "720720", "--json"]) == 0
+        cert = realiser.realise(720720)
+        pairs = {(f, beta) for f in cert.factors for beta in range(f.alpha + 1)}
+        assert len(pairs) == 16
+        assert len(validated) == len(set(validated)) == len(pairs)
+        assert set(validated) == {
+            (f.p, f.q ** (f.alpha + beta), f.r) for f, beta in pairs
+        }
 
 
 class TestVerifyConverse:
