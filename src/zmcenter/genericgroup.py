@@ -43,10 +43,10 @@ class CayleyGroup:
             raise ValueError("label count does not match order")
         full = frozenset(range(n))
         for i, row in enumerate(self.table):
-            if frozenset(row) != full:
+            if len(row) != n or frozenset(row) != full:
                 raise ValueError(f"row {i} is not a permutation")
-        for j in range(n):
-            if frozenset(row[j] for row in self.table) != full:
+        for j, column in enumerate(zip(*self.table)):
+            if frozenset(column) != full:
                 raise ValueError(f"column {j} is not a permutation")
         # Light's test.  The set A of elements a with (x*a)*y = x*(a*y) for
         # all x, y contains the identity and is closed under products: for

@@ -100,16 +100,21 @@ class RealiserCertificate:
         return cls.from_json_dict(json.loads(text))
 
 
-def validate_certificate(cert: RealiserCertificate) -> None:
-    """Recheck every structural invariant; raises CertificateError."""
-    if cert.N < 1:
-        raise CertificateError(f"N must be >= 1, got {cert.N}")
+def _check_decomposition(cert: RealiserCertificate) -> None:
+    """The factors must be the prime powers of N in ascending q."""
     expected = factorize(cert.N).pairs
     got = tuple((f.q, f.alpha) for f in cert.factors)
     if got != expected:
         raise CertificateError(
             f"factors {got} do not match the decomposition {expected} of {cert.N}"
         )
+
+
+def validate_certificate(cert: RealiserCertificate) -> None:
+    """Recheck every structural invariant; raises CertificateError."""
+    if cert.N < 1:
+        raise CertificateError(f"N must be >= 1, got {cert.N}")
+    _check_decomposition(cert)
     qs = {f.q for f in cert.factors}
     ps = [f.p for f in cert.factors]
     if len(set(ps)) != len(ps):
@@ -230,21 +235,26 @@ class VerificationReport:
     passed: bool
 
     def as_json_dict(self) -> dict:
+        """The report document.  Divisor rows that carry the same
+        `ForwardFactorRow` object share one factor-row sub-dict, so
+        `schemas.to_json` formats it once; the document is read-only."""
+        factor_docs: dict[int, dict] = {}  # id(ForwardFactorRow) -> sub-dict
+        for row in self.forward_results:
+            for fr in row.factors:
+                if id(fr) not in factor_docs:
+                    factor_docs[id(fr)] = {
+                        "triple": fr.triple.as_json_dict(),
+                        "formula_order": fr.formula_order,
+                        "oracle_order": fr.oracle_order,
+                        "agree": fr.agree,
+                    }
         doc = {
             "schema": 1,
             "certificate": self.certificate.as_json_dict(),
             "forward_results": [
                 {
                     "divisor": row.divisor,
-                    "factors": [
-                        {
-                            "triple": fr.triple.as_json_dict(),
-                            "formula_order": fr.formula_order,
-                            "oracle_order": fr.oracle_order,
-                            "agree": fr.agree,
-                        }
-                        for fr in row.factors
-                    ],
+                    "factors": [factor_docs[id(fr)] for fr in row.factors],
                     "formula_product": row.formula_product,
                     "oracle_product": row.oracle_product,
                     "pass": row.passed,
@@ -289,15 +299,25 @@ def verify_forward(
 
     A factor triple depends only on the exponent beta of its q in N1, so
     many divisors share it; each (factor, beta) is validated and compared
-    once per call.
+    once per call.  The factors are checked against the factorization of
+    N first (CertificateError), so every divisor of N gets a row.
     """
+    _check_decomposition(cert)
+    # the factors are the prime powers of N in ascending q, so each divisor
+    # comes with the exponent beta of every factor's q in it
+    divisors: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    for f in cert.factors:
+        divisors = [
+            (n1 * f.q**beta, betas + (beta,))
+            for n1, betas in divisors
+            for beta in range(f.alpha + 1)
+        ]
+    divisors.sort()
     compared: dict[tuple[FactorWitness, int], ForwardFactorRow] = {}
     rows = []
-    for n1 in factorize(cert.N).divisors():
-        n1_fact = factorize(n1)
+    for n1, betas in divisors:
         factor_rows = []
-        for f in cert.factors:
-            beta = n1_fact.exponent_of(f.q)
+        for f, beta in zip(cert.factors, betas):
             if (f, beta) not in compared:
                 t = f.divisor_triple(beta)
                 cmp = abscenter.compare(t, bounds.oracle)

@@ -4,9 +4,10 @@ SHA-256 of stdout and the stderr text must match byte for byte.
 * `converse_golden.json` pins `verify N --converse [--json]` for N = 1..30.
 * `cli_golden.json` pins every other subcommand: `abscenter`, `aut`,
   `realise N` and forward `verify N` for N = 1..30, `oracle-check` on
-  triples within the oracle bound, and `realise N --json` on 40 seeded
+  triples within the oracle bound, `realise N --json` on 40 seeded
   larger N: semiprimes, prime squares, smooth N and primes in
-  10^12..10^15.
+  10^12..10^15, and `verify N --json` for N = 840 and 1000, whose reports
+  repeat factor rows across many divisors.
 
 Regenerate the files (only when a change of output is intended) with
 
@@ -87,6 +88,9 @@ def _cli_argvs() -> list[list[str]]:
     # order 1994 is above the aut bound; the family has 993,012 members
     argvs += [["oracle-check", "997", "2", "996", *f] for f in TEXT_AND_JSON]
     argvs += [["realise", str(n), "--json"] for n in _realise_inputs()]
+    # many divisors and many repeated factor rows: four factors and 32
+    # divisors, one factor and 16 divisors
+    argvs += [["verify", n, "--json"] for n in ("840", "1000")]
     return argvs
 
 

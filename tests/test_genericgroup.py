@@ -47,6 +47,17 @@ class TestCayleyGroupConstruction:
         with pytest.raises(ValueError):
             gg.CayleyGroup.from_table(loop)
 
+    def test_first_failing_column_is_named(self):
+        # every row is a permutation and 0 is a two-sided identity, but
+        # column 1 holds 1 twice
+        with pytest.raises(ValueError, match="column 1 is not a permutation"):
+            gg.CayleyGroup.from_table(((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+
+    def test_rejects_rows_longer_than_the_order(self):
+        # each row holds every element but repeats one, so it is no permutation
+        with pytest.raises(ValueError, match="row 0 is not a permutation"):
+            gg.CayleyGroup.from_table(((0, 1, 1), (1, 0, 0)))
+
     def test_inverse_and_orders(self):
         group = gg.cyclic_group(6)
         assert group.inverse(2) == 4

@@ -145,6 +145,16 @@ class TestVerifyForward:
         big = [fr for row in rows for fr in row.factors if fr.triple.order > 2000]
         assert big and all(fr.oracle_order is None and fr.agree is None for fr in big)
 
+    def test_certificate_missing_a_factor_is_rejected(self):
+        # the q = 2 witness of realise(12) is valid on its own, but without
+        # the q = 3 witness the divisors 3, 6 and 12 would get no row
+        cert = realiser.realise(12)
+        partial = realiser.RealiserCertificate(N=12, factors=cert.factors[:1])
+        with pytest.raises(CertificateError, match="decomposition"):
+            realiser.verify_forward(partial)
+        with pytest.raises(CertificateError, match="decomposition"):
+            realiser.verify(partial)
+
     @pytest.mark.parametrize("n", [1, 2, 12, 30, 720, 5040, 720720])
     def test_matches_unmemoised_reference(self, n):
         cert = realiser.realise(n)
