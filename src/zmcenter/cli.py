@@ -38,6 +38,11 @@ def _bounds_from_args(args: argparse.Namespace) -> Bounds:
     )
 
 
+def _refuse_above_oracle_bound(t, bounds: Bounds) -> None:
+    if t.order > bounds.oracle:
+        raise BoundExceededError(f"{t} has order {t.order} > oracle bound {bounds.oracle}")
+
+
 def _yesno(flag: bool | None) -> str:
     if flag is None:
         return "skipped"
@@ -87,6 +92,8 @@ def _cmd_aut(args) -> int:
         print(f"|Aut| = {counts.aut}   |Inn| = {counts.inn}   |Out| = {counts.out}")
         print(f"central = {counts.central}   IA = {counts.ia}   complete: {_yesno(counts.complete)}")
         return EXIT_OK
+    # a listing has m * phi(m) * |Y| lines: refuse it before building it
+    _refuse_above_oracle_bound(t, _bounds_from_args(args))
     family = aut.enumerate_family(t, args.family)
     if args.json:
         _emit_json(
@@ -163,9 +170,8 @@ def _cmd_oracle_check(args) -> int:
     t = validate_triple(args.m, args.n, args.r)
     bounds = _bounds_from_args(args)
     cmp = abscenter.compare(t, bounds.oracle)
-    if cmp.oracle_order is None:
-        # refuse before enumerating a family that no comparison would use
-        raise BoundExceededError(f"{t} has order {t.order} > oracle bound {bounds.oracle}")
+    # refuse before enumerating a family that no comparison would use
+    _refuse_above_oracle_bound(t, bounds)
     # the size of enumerate_family(t, "all"), the product of the lists it multiplies
     enumerated = len(aut.units(t)) * t.m * len(aut.valid_ys(t))
     formula_aut = aut.aut_counts(t).aut

@@ -24,6 +24,7 @@ Verification:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -176,17 +177,9 @@ def subgroup_for_divisor(cert: RealiserCertificate, n1: int) -> list[ZmTriple]:
 
 
 @dataclass(frozen=True)
-class ForwardFactorRow:
-    triple: ZmTriple
-    formula_order: int
-    oracle_order: int | None
-    agree: bool | None
-
-
-@dataclass(frozen=True)
 class ForwardRow:
     divisor: int
-    factors: tuple[ForwardFactorRow, ...]
+    factors: tuple[abscenter.AbsCenterComparison, ...]
     formula_product: int
     oracle_product: int | None
     passed: bool
@@ -236,9 +229,9 @@ class VerificationReport:
 
     def as_json_dict(self) -> dict:
         """The report document.  Divisor rows that carry the same
-        `ForwardFactorRow` object share one factor-row sub-dict, so
+        comparison object share one factor-row sub-dict, so
         `schemas.to_json` formats it once; the document is read-only."""
-        factor_docs: dict[int, dict] = {}  # id(ForwardFactorRow) -> sub-dict
+        factor_docs: dict[int, dict] = {}  # id(AbsCenterComparison) -> sub-dict
         for row in self.forward_results:
             for fr in row.factors:
                 if id(fr) not in factor_docs:
@@ -298,61 +291,42 @@ def verify_forward(
     the fixed-point oracle.  Disagreements are recorded, never raised.
 
     A factor triple depends only on the exponent beta of its q in N1, so
-    many divisors share it; each (factor, beta) is validated and compared
-    once per call.  The factors are checked against the factorization of
+    each factor's `abscenter.compare` records are computed once per beta,
+    and the rows hold those records themselves, shared by every divisor
+    with that beta.  The factors are checked against the factorization of
     N first (CertificateError), so every divisor of N gets a row.
     """
     _check_decomposition(cert)
-    # the factors are the prime powers of N in ascending q, so each divisor
-    # comes with the exponent beta of every factor's q in it
-    divisors: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-    for f in cert.factors:
-        divisors = [
-            (n1 * f.q**beta, betas + (beta,))
-            for n1, betas in divisors
-            for beta in range(f.alpha + 1)
-        ]
-    divisors.sort()
-    compared: dict[tuple[FactorWitness, int], ForwardFactorRow] = {}
+    comparisons = [
+        [abscenter.compare(f.divisor_triple(beta), bounds.oracle) for beta in range(f.alpha + 1)]
+        for f in cert.factors
+    ]
     rows = []
-    for n1, betas in divisors:
-        factor_rows = []
-        for f, beta in zip(cert.factors, betas):
-            if (f, beta) not in compared:
-                t = f.divisor_triple(beta)
-                cmp = abscenter.compare(t, bounds.oracle)
-                compared[f, beta] = ForwardFactorRow(
-                    triple=t,
-                    formula_order=cmp.formula_order,
-                    oracle_order=cmp.oracle_order,
-                    agree=cmp.agree,
-                )
-            factor_rows.append(compared[f, beta])
-        formula_product = math.prod(fr.formula_order for fr in factor_rows)
+    for betas in itertools.product(*(range(f.alpha + 1) for f in cert.factors)):
+        n1 = math.prod(f.q**beta for f, beta in zip(cert.factors, betas))
+        factors = tuple(by_beta[beta] for by_beta, beta in zip(comparisons, betas))
+        formula_product = math.prod(c.formula_order for c in factors)
         oracle_product = None
-        if all(fr.oracle_order is not None for fr in factor_rows):
-            oracle_product = math.prod(fr.oracle_order for fr in factor_rows)
-        orders = [fr.formula_order for fr in factor_rows]
-        coprime = all(
-            math.gcd(orders[i], orders[j]) == 1
-            for i in range(len(orders))
-            for j in range(i + 1, len(orders))
-        )
+        if all(c.oracle_order is not None for c in factors):
+            oracle_product = math.prod(c.oracle_order for c in factors)
+        # positive integers are pairwise coprime iff their lcm is their product
+        coprime = math.lcm(*(c.formula_order for c in factors)) == formula_product
         passed = (
             formula_product == n1
             and coprime
-            and all(fr.agree is not False for fr in factor_rows)
+            and all(c.agree is not False for c in factors)
             and (oracle_product is None or oracle_product == n1)
         )
         rows.append(
             ForwardRow(
                 divisor=n1,
-                factors=tuple(factor_rows),
+                factors=factors,
                 formula_product=formula_product,
                 oracle_product=oracle_product,
                 passed=passed,
             )
         )
+    rows.sort(key=lambda row: row.divisor)
     return tuple(rows)
 
 
@@ -386,6 +360,12 @@ def verify_converse(
     Every factor is checked against the table bound and then the scan
     bounds before any Cayley table is built, so a certificate with an
     out-of-bound factor is refused without scanning the factors before it.
+
+    A one-factor certificate reuses its factor scan as the full-product
+    scan: `genericgroup.direct_product` of one table is that table, and
+    the factor's target q^alpha is N, so a second scan would run the same
+    brute force on the same group against the same target.  Nothing the
+    check looks at is skipped.
     """
     triples = [f.triple() for f in cert.factors]
     for t in triples:
@@ -412,8 +392,11 @@ def verify_converse(
 
     full_order = math.prod(t.order for t in triples)
     if full_order <= min(bounds.subgroups, bounds.aut, bounds.table):
-        product = genericgroup.direct_product(groups, bounds.table)
-        scans = _scan_subgroups(product, cert.N, bounds)
+        if len(factor_rows) == 1:
+            scans = factor_rows[0].scans
+        else:
+            product = genericgroup.direct_product(groups, bounds.table)
+            scans = _scan_subgroups(product, cert.N, bounds)
         full_row = FullProductRow(
             order=full_order,
             scanned=True,

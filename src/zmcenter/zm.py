@@ -35,7 +35,10 @@ class ZmTriple:
     n: int
     r: int
     d: int       # multiplicative order of r mod m
-    phi_m: int
+
+    @cached_property
+    def phi_m(self) -> int:
+        return euler_phi(self.m)
 
     @property
     def order(self) -> int:
@@ -158,7 +161,7 @@ def validate_triple(m: int, n: int, r: int) -> ZmTriple:
         raise TripleError("range", f"need m, n, r >= 1, got ({m},{n},{r})")
     if m == 1:
         # degenerate cyclic case: relations are vacuous, conventionally r = 1
-        return ZmTriple(m=1, n=n, r=1, d=1, phi_m=1)
+        return ZmTriple(m=1, n=n, r=1, d=1)
     r %= m
     g = math.gcd(m, n)
     if g != 1:
@@ -168,7 +171,7 @@ def validate_triple(m: int, n: int, r: int) -> ZmTriple:
         raise TripleError("gcd_m_rminus1", f"gcd(m,r-1) = {g} != 1 for ({m},{n},{r})")
     if pow(r, n, m) != 1:
         raise TripleError("order", f"r^n = {pow(r, n, m)} != 1 (mod {m}) for ({m},{n},{r})")
-    return ZmTriple(m=m, n=n, r=r, d=multiplicative_order(r, m), phi_m=euler_phi(m))
+    return ZmTriple(m=m, n=n, r=r, d=multiplicative_order(r, m))
 
 
 def iter_valid_triples(
@@ -185,7 +188,7 @@ def iter_valid_triples(
             for n in range(d, max_order // m + 1, d):
                 if math.gcd(m, n) != 1:
                     continue
-                t = ZmTriple(m=m, n=n, r=r, d=d, phi_m=euler_phi(m))
+                t = ZmTriple(m=m, n=n, r=r, d=d)
                 if guaranteed_only and not t.regime_guaranteed:
                     continue
                 yield t

@@ -1,13 +1,14 @@
 """Slow references kept beside the tests: the code paths the package ran
-before forward verification was memoised, the closed form's fixedness
-recheck was folded into `abscenter.compare`, `CayleyGroup.closure`
-became a search by the seed elements, `factorize` moved from pure
-trial division to trial division plus Pollard-Brent rho, the fixed-point
-oracle moved from the whole enumerated automorphism family to a
-generating set of it and then from every element to the product of the
-u- and v-residues, and `CayleyGroup` moved from checking every triple
-for associativity to Light's test on a generating set.  The tests check
-the package against them; they are never used by the package itself.
+before forward verification compared each (factor, beta) once, the
+closed form's fixedness recheck was folded into `abscenter.compare`,
+`CayleyGroup.closure` became a search by the seed elements, `factorize`
+moved from pure trial division to trial division plus Pollard-Brent rho,
+the fixed-point oracle moved from the whole enumerated automorphism
+family to a generating set of it and then from every element to the
+product of the u- and v-residues, and `CayleyGroup` moved from checking
+every triple for associativity to Light's test on a generating set.  The
+tests check the package against them; they are never used by the package
+itself.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ def reference_verify_forward(
     cert: realiser.RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[realiser.ForwardRow, ...]:
     """Forward verification with the formula and the oracle evaluated
-    afresh for every factor of every divisor."""
+    afresh for every factor of every divisor, each comparison record built
+    field by field rather than by `abscenter.compare`, and coprimality
+    tested pair by pair."""
     rows = []
     for n1 in factorize(cert.N).divisors():
         factor_rows = []
@@ -122,9 +125,14 @@ def reference_verify_forward(
                 span = {t.power(formula.generator, k) for k in range(formula.order)}
                 agree = oracle == span
             factor_rows.append(
-                realiser.ForwardFactorRow(
+                abscenter.AbsCenterComparison(
                     triple=t,
+                    d=t.d,
+                    e=formula.e,
                     formula_order=formula.order,
+                    formula_generator=formula.generator,
+                    center_order=t.n // t.d,
+                    regime_guaranteed=formula.regime_guaranteed,
                     oracle_order=oracle_order,
                     agree=agree,
                 )

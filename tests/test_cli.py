@@ -60,6 +60,27 @@ class TestAut:
         assert doc["count"] == 20
         assert len(doc["triples"]) == 20
 
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--family", "inner"]])
+    def test_listing_above_oracle_bound_refused_before_enumeration(
+        self, capsys, monkeypatch, flags
+    ):
+        # the family of ZM(1000003,2,1000002) has about 10^12 members
+        def refuse(*args, **kwargs):
+            raise AssertionError("the family was built")
+
+        for name in ("enumerate_family", "units", "valid_ys"):
+            monkeypatch.setattr(aut, name, refuse)
+        code, out, err = run(capsys, "aut", "1000003", "2", "1000002", *flags)
+        assert code == 3
+        assert out == ""
+        monkeypatch.undo()
+        assert (code, out, err) == run(capsys, "oracle-check", "1000003", "2", "1000002")
+
+    def test_count_above_oracle_bound_still_answers(self, capsys):
+        code, out, _ = run(capsys, "aut", "1000003", "2", "1000002", "--count-only")
+        assert code == 0
+        assert "|Aut| = 1000005000006" in out
+
 
 class TestRealise:
     def test_trivial(self, capsys):
@@ -92,8 +113,9 @@ class TestRealise:
         code, out, _ = run(capsys, "realise", "18809838571", "--json")
         assert code == 0
         assert json.loads(out)["N"] == 18809838571
-        # the check of ord_p(r) = q^alpha factors neither p nor p - 1
-        assert len(calls) == 12
+        # the check of ord_p(r) = q^alpha factors neither p nor p - 1, and
+        # validating a factor triple does not factor m for phi(m)
+        assert len(calls) == 10
 
 
 class TestVerify:

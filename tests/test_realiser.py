@@ -1,14 +1,19 @@
+import hashlib
 import json
 import math
+import pathlib
+import types
 
 import pytest
 
 from slow_reference import reference_verify_forward
-from zmcenter import abscenter, cli, realiser
+from zmcenter import abscenter, cli, genericgroup, realiser
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError
 from zmcenter.numtheory import factorize
 from zmcenter.zm import ZmTriple
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestRealise:
@@ -214,7 +219,79 @@ class TestVerifyForward:
         }
 
 
+class TestSharedComparisons:
+    def test_rows_hold_the_comparisons_of_compare(self):
+        # 720720 = 2^4 3^2 5 7 11 13: 240 divisors of 6 factor slots each,
+        # filled from 5 + 3 + 2 + 2 + 2 + 2 comparison records
+        rows = realiser.verify_forward(realiser.realise(720720))
+        assert len(rows) == 240
+        records = {id(c): c for row in rows for c in row.factors}
+        assert len(records) == 16
+        for c in records.values():
+            assert isinstance(c, abscenter.AbsCenterComparison)
+            assert c == abscenter.compare(c.triple)
+
+    def test_certificate_without_factors_has_one_passing_row(self):
+        cert = realiser.RealiserCertificate(N=1, factors=())
+        (row,) = realiser.verify_forward(cert)
+        assert row == realiser.ForwardRow(
+            divisor=1, factors=(), formula_product=1, oracle_product=1, passed=True
+        )
+
+
 class TestVerifyConverse:
+    def test_one_factor_certificate_scans_once(self, capsys, monkeypatch):
+        scanned = []
+        real_scan = realiser._scan_subgroups
+
+        def spy(group, target, bounds):
+            scanned.append((group.order, target))
+            return real_scan(group, target, bounds)
+
+        monkeypatch.setattr(realiser, "_scan_subgroups", spy)
+        argv = ["verify", "4", "--converse", "--json"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert scanned == [(80, 4)]
+        golden = json.loads((DATA / "converse_golden.json").read_text())
+        (entry,) = [g for g in golden if g["argv"] == argv]
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+
+    def test_trivial_certificate_scans_the_trivial_group(self, monkeypatch):
+        scanned = []
+
+        def spy(group, target, bounds):
+            scanned.append((group.order, target))
+            return ()
+
+        monkeypatch.setattr(realiser, "_scan_subgroups", spy)
+        factor_rows, full_row = realiser.verify_converse(realiser.realise(1))
+        assert factor_rows == () and full_row.scanned
+        assert scanned == [(1, 1)]
+
+    def test_multi_factor_certificate_scans_the_product(self, monkeypatch):
+        # realise(6) has factors ZM(5,4,4) and ZM(7,9,4): the product of
+        # order 1260 fits these bounds.  Building its table takes seconds
+        # and scanning it about a minute, so both are stubbed and only the
+        # calls are recorded.
+        cert = realiser.realise(6)
+        products, scanned = [], []
+
+        def fake_product(groups, table_bound):
+            products.append([g.order for g in groups])
+            return types.SimpleNamespace(order=1260)
+
+        def fake_scan(group, target, bounds):
+            scanned.append((group.order, target))
+            return ()
+
+        monkeypatch.setattr(genericgroup, "direct_product", fake_product)
+        monkeypatch.setattr(realiser, "_scan_subgroups", fake_scan)
+        _, full_row = realiser.verify_converse(cert, Bounds(aut=2000, subgroups=2000))
+        assert products == [[20, 63]]
+        assert scanned == [(20, 2), (63, 3), (1260, 6)]
+        assert full_row.scanned and full_row.order == 1260
+
     def test_n2_full_scan(self):
         cert = realiser.realise(2)
         factor_rows, full_row = realiser.verify_converse(cert)
