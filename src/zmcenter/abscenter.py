@@ -1,31 +1,36 @@
 """The absolute center L(G) of a ZM-group: the closed form <b^(d*e)> with
-e = n / gcd(n, d^2), and an independent fixed-point oracle that scans the
-b-exponents and the a-exponents separately against a generating set of
-the parametrized automorphism family.
+e = n / gcd(n, d^2), and an independent fixed-point oracle that tests the
+b-exponents and the a-exponents separately against three subfamilies of
+parameter triples that together generate the automorphism family.
 
 The closed form is always a subgroup of L (its generator really is fixed
 by every parametrized automorphism); it is provably all of L when every
 prime of n divides d.  Outside that regime the oracle is the ground truth
 and reports carry an explicit agree/disagree verdict.
 
-Why a generating set suffices:
+Why the three subfamilies suffice:
   1. The fixed points of a group of maps are the common fixed points of
      any generating set: a point fixed by alpha and beta is fixed by
      alpha*beta and by alpha^-1.
-  2. (1, 1, 1) and the (g, 0, 1), g running over generators of the units
-     mod m, generate the subgroup with y = 1: (1, 1, 1)^k = (1, k, 1) and
+  2. (1, 1, 1) and the (x1, 0, 1), x1 running over the units mod m,
+     generate the subgroup with y = 1: (1, 1, 1)^k = (1, k, 1) and
      (x1, 0, 1)(1, k, 1) = (x1, x1*k, 1), which reach every (x1, x2, 1).
      That subgroup is Hol(C_m).
   3. (x1, x2, y) |-> y is a homomorphism from the family onto the
-     admissible y with exactly that kernel, so adding (1, 0, y) for
-     generators y of the admissible y gives the whole family.
+     admissible y with exactly that kernel, so adding (1, 0, y) for every
+     admissible y gives the whole family.
   4. b^u a^v is fixed by (x1, x2, y) iff y*u = u (mod n) and
-     (x1 - 1)*v + x2*[u]_r = 0 (mod m).  Every generator above has
-     x1 = 1 or x2 = 0 (mod m), so each condition involves u alone or v
-     alone, and the fixed set is a product U x V: n + m residues are
-     tested, not m*n elements.
-The closure test in tests/test_aut.py checks in code that the
-closure of `aut.family_generators` is the enumerated family.
+     (x1 - 1)*v + x2*[u]_r = 0 (mod m).  On the three subfamilies:
+       (1, 0, y), every y:  n | (y - 1)*u, i.e. u is a multiple of
+                            step = n / gcd(n, y - 1 over all y);
+       (1, 1, 1):           [u]_r = 0 (mod m);
+       (x1, 0, 1), every x1: m | (x1 - 1)*v, i.e. v is a multiple of
+                            m / gcd(m, x1 - 1 over all units).
+     Each member has x1 = 1 or x2 = 0, so each condition involves u alone
+     or v alone, and the fixed set is a product U x V: n / step values of
+     u are tested, and V needs no test at all.
+The closure test in tests/test_aut.py checks in code that the three
+subfamilies generate the enumerated family.
 
 `compare` is the one place both paths meet.  It runs the oracle once and
 checks there that the closed-form generator is among the fixed points; a
@@ -41,6 +46,7 @@ from dataclasses import dataclass
 from . import aut
 from .config import DEFAULT_BOUNDS
 from .errors import BoundExceededError
+from .numtheory import geometric_sum_mod
 from .zm import ZmElement, ZmTriple
 
 
@@ -82,35 +88,40 @@ def absolute_center_oracle(
 ) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
-    Tests residues against `aut.family_generators`, never the closed form
-    and never the enumerated family.  That is exact: (1) the common fixed
-    points of a generating set are the fixed points of the group; (2)
-    (1, 1, 1) and the (g, 0, 1) generate the y = 1 subgroup, Hol(C_m); (3)
+    Tests residues against the subfamilies (1, 0, y) for every admissible
+    y, (1, 1, 1) and (x1, 0, 1) for every unit x1, read from the integer
+    lists `aut.valid_ys` and `aut.units`; never the closed form and never
+    the enumerated family.  That is exact: (1) the common fixed points of
+    a generating set are the fixed points of the group; (2) (1, 1, 1) and
+    the (x1, 0, 1) generate the y = 1 subgroup, Hol(C_m); (3)
     (x1, x2, y) |-> y maps the family onto the admissible y with that
-    kernel, so the (1, 0, y) complete the generating set; (4) each
-    generator has x1 = 1 or x2 = 0 (mod m), so its condition
-    (x1 - 1)*v + x2*[u]_r = 0 (mod m) is x2*[u]_r = 0 or (x1 - 1)*v = 0,
-    and the fixed set is U x V: U the u in [0, n) with y*u = u and
-    x2*[u]_r = 0 for every generator, V the v in [0, m) with
-    (x1 - 1)*v = 0 for every generator.  A generator with x1 != 1 and
-    x2 != 0 is a RuntimeError.  The closure test checks (1)-(3) in code.
-    By construction the result is a subgroup contained in the center.
+    kernel, so the (1, 0, y) complete the generating set; (4) every member
+    has x1 = 1 or x2 = 0, so the fixed set is U x V.  U is the multiples u
+    of step = n / gcd(n, y - 1 over all y) (that is n | (y - 1)*u for
+    every y) with [u]_r = 0 (mod m), walked along the multiples as
+    [u + step]_r = [u]_r + r^u * [step]_r.  V is the multiples of
+    m / gcd(m, x1 - 1 over all units).  Cost O(phi(m) + |Y| + n/step)
+    after the two lists are built.  The closure test checks (1)-(3) in
+    code.  By construction the result is a subgroup contained in the
+    center.
     """
     if t.order > oracle_bound:
         raise BoundExceededError(
             f"{t} has order {t.order} > oracle bound {oracle_bound}"
         )
-    gens = aut.family_generators(t)
-    m, n = t.m, t.n
-    if any((x1 - 1) % m and x2 % m for x1, x2, _ in gens):
-        raise RuntimeError(f"a generator of Aut({t}) has x1 != 1 and x2 != 0")
-    geo = t._geo
-    us = [
-        u for u in range(n)
-        if all((y * u) % n == u and (x2 * geo[u]) % m == 0 for _, x2, y in gens)
-    ]
-    vs = [v for v in range(m) if all(((x1 - 1) * v) % m == 0 for x1, _, _ in gens)]
-    return {ZmElement(u, v) for u in us for v in vs}
+    m, n, r = t.m, t.n, t.r
+    step = n // math.gcd(n, *(y - 1 for y in aut.valid_ys(t)))
+    r_step = pow(r, step, m)
+    geo_step = geometric_sum_mod(r, step, m)
+    us = []
+    r_u, geo_u = 1 % m, 0  # r^u and [u]_r mod m at u = 0
+    for u in range(0, n, step):
+        if geo_u == 0:
+            us.append(u)
+        geo_u = (geo_u + r_u * geo_step) % m
+        r_u = r_u * r_step % m
+    v_step = m // math.gcd(m, *(x1 - 1 for x1 in aut.units(t)))
+    return {ZmElement(u, v) for u in us for v in range(0, m, v_step)}
 
 
 @dataclass(frozen=True)

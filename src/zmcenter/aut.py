@@ -90,41 +90,6 @@ def valid_ys(t: ZmTriple) -> list[int]:
     return [y for y in range(1, t.n, t.d) if math.gcd(y, t.n) == 1]
 
 
-def _greedy_generators(elements: list[int], modulus: int) -> list[int]:
-    """Generators of the multiplicative group `elements` mod `modulus`,
-    taken in list order: each one is kept only if it lies outside the
-    subgroup built so far, so each kept one at least doubles it."""
-    built = {1 % modulus}
-    gens = []
-    for g in elements:
-        if g in built:
-            continue
-        gens.append(g)
-        # <built, g> is the union of the cosets g^k * built
-        coset = built
-        new = set(built)
-        while True:
-            coset = {(g * h) % modulus for h in coset}
-            if coset <= new:
-                break
-            new |= coset
-        built = new
-    return gens
-
-
-def family_generators(t: ZmTriple) -> list[AutTriple]:
-    """A generating set of the "all" family, identity removed: (g, 0, 1)
-    for greedy generators g of the units mod m, then (1, 1, 1), then
-    (1, 0, y) for greedy generators y of `valid_ys`.  It has at most
-    1 + log2(phi(m)) + log2(|Y|) members."""
-    one_m, one_n = 1 % t.m, 1 % t.n
-    gens = [AutTriple(g, 0, one_n) for g in _greedy_generators(units(t), t.m)]
-    gens.append(AutTriple(one_m, one_m, one_n))
-    gens += [AutTriple(one_m, 0, y) for y in _greedy_generators(valid_ys(t), t.n)]
-    identity = identity_aut(t)
-    return [a for a in gens if a != identity]
-
-
 def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
     """The exact parameter set of one family, sorted for reproducibility.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from operator import itemgetter
 
 from .config import DEFAULT_BOUNDS
@@ -156,27 +157,24 @@ def direct_product(
     order = math.prod(g.order for g in factors)
     if order > table_bound:
         raise BoundExceededError(f"product order {order} > table bound {table_bound}")
-    sizes = [g.order for g in factors]
-    strides = [1] * len(factors)
-    for i in range(len(factors) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    # the parts of every index in index order: factor-major, so the first
+    # factor varies slowest
+    index_parts = list(product(*(range(g.order) for g in factors)))
 
-    def split(idx: int) -> tuple[int, ...]:
-        return tuple((idx // strides[i]) % sizes[i] for i in range(len(factors)))
+    def row(parts: tuple[int, ...]) -> tuple[int, ...]:
+        # entry j is the index of the parts z_f = f.table[i_f][j_f], in
+        # Horner form (...(z_1*k_2 + z_2)*k_3 + ...); the comprehension
+        # visits the j in index order, since they run factor-major too
+        out = [0]
+        for f, p in zip(factors, parts):
+            f_row, k = f.table[p], f.order
+            out = [x * k + z for x in out for z in f_row]
+        return tuple(out)
 
-    def join(parts) -> int:
-        return sum(p * s for p, s in zip(parts, strides))
-
-    table = tuple(
-        tuple(
-            join(f.table[x][y] for f, x, y in zip(factors, split(i), split(j)))
-            for j in range(order)
-        )
-        for i in range(order)
-    )
+    table = tuple(row(parts) for parts in index_parts)
     labels = tuple(
-        "(" + ",".join(f.labels[p] for f, p in zip(factors, split(i))) + ")"
-        for i in range(order)
+        "(" + ",".join(f.labels[p] for f, p in zip(factors, parts)) + ")"
+        for parts in index_parts
     )
     return CayleyGroup.from_table(table, labels)
 

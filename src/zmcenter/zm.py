@@ -21,7 +21,9 @@ from typing import Iterator, NamedTuple
 from . import genericgroup
 from .config import DEFAULT_BOUNDS
 from .errors import BoundExceededError, TripleError
-from .numtheory import euler_phi, factorize, geometric_sum_mod, multiplicative_order
+from .numtheory import euler_phi, geometric_sum_mod, multiplicative_order
+# unused here; perfbench's tests pin `zm.factorize is numtheory.factorize`
+from .numtheory import factorize  # noqa: F401
 
 
 class ZmElement(NamedTuple):
@@ -47,8 +49,12 @@ class ZmTriple:
     @property
     def regime_guaranteed(self) -> bool:
         """True iff every prime of n divides d (the counting formulas'
-        guaranteed regime)."""
-        return all(self.d % p == 0 for p, _ in factorize(self.n).pairs)
+        guaranteed regime).  Computed without factoring n: dividing out
+        gcd(x, d) until it is 1 leaves 1 iff no prime of n is missing from d."""
+        x = self.n
+        while (g := math.gcd(x, self.d)) > 1:
+            x //= g
+        return x == 1
 
     def __str__(self) -> str:
         return f"ZM({self.m},{self.n},{self.r})"
@@ -109,14 +115,6 @@ class ZmTriple:
         out = [1 % self.m]
         for _ in range(self.n - 1):
             out.append(out[-1] * self.r % self.m)
-        return tuple(out)
-
-    @cached_property
-    def _geo(self) -> tuple[int, ...]:
-        # geo[u] = 1 + r + ... + r^(u-1) mod m
-        out = [0]
-        for u in range(1, self.n):
-            out.append((out[-1] + self._rpow[u - 1]) % self.m)
         return tuple(out)
 
     def check_table_bound(self, table_bound: int = DEFAULT_BOUNDS.table) -> None:

@@ -4,11 +4,13 @@ closed form's fixedness recheck was folded into `abscenter.compare`,
 `CayleyGroup.closure` became a search by the seed elements, `factorize`
 moved from pure trial division to trial division plus Pollard-Brent rho,
 the fixed-point oracle moved from the whole enumerated automorphism
-family to a generating set of it and then from every element to the
-product of the u- and v-residues, and `CayleyGroup` moved from checking
-every triple for associativity to Light's test on a generating set.  The
-tests check the package against them; they are never used by the package
-itself.
+family to a greedy generating set of it, then from every element to the
+product of the u- and v-residues, and then to strides over the three
+generating subfamilies, `CayleyGroup` moved from checking every triple
+for associativity to Light's test on a generating set, and
+`direct_product` moved from splitting both indices of every table entry
+to splitting each index once.  The tests check the package against them;
+they are never used by the package itself.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 import math
 
 from zmcenter import abscenter, aut, realiser
+from zmcenter.aut import AutTriple
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
 from zmcenter.errors import BoundExceededError
-from zmcenter.genericgroup import CayleyGroup
+from zmcenter.genericgroup import CayleyGroup, cyclic_group
 from zmcenter.numtheory import Factorization, factorize, geometric_sum_mod, is_prime
 from zmcenter.zm import ZmElement, ZmTriple
 
@@ -43,6 +46,51 @@ def reference_absolute_center_formula(
     return result
 
 
+def _geo_table(t: ZmTriple) -> tuple[int, ...]:
+    """geo[u] = [u]_r = 1 + r + ... + r^(u-1) mod m, for u in [0, n)."""
+    out = [0]
+    r_u = 1 % t.m
+    for _ in range(1, t.n):
+        out.append((out[-1] + r_u) % t.m)
+        r_u = r_u * t.r % t.m
+    return tuple(out)
+
+
+def _greedy_generators(elements: list[int], modulus: int) -> list[int]:
+    """Generators of the multiplicative group `elements` mod `modulus`,
+    taken in list order: each one is kept only if it lies outside the
+    subgroup built so far, so each kept one at least doubles it."""
+    built = {1 % modulus}
+    gens = []
+    for g in elements:
+        if g in built:
+            continue
+        gens.append(g)
+        # <built, g> is the union of the cosets g^k * built
+        coset = built
+        new = set(built)
+        while True:
+            coset = {(g * h) % modulus for h in coset}
+            if coset <= new:
+                break
+            new |= coset
+        built = new
+    return gens
+
+
+def family_generators(t: ZmTriple) -> list[AutTriple]:
+    """A generating set of the "all" family, identity removed: (g, 0, 1)
+    for greedy generators g of the units mod m, then (1, 1, 1), then
+    (1, 0, y) for greedy generators y of `valid_ys`.  It has at most
+    1 + log2(phi(m)) + log2(|Y|) members."""
+    one_m, one_n = 1 % t.m, 1 % t.n
+    gens = [AutTriple(g, 0, one_n) for g in _greedy_generators(aut.units(t), t.m)]
+    gens.append(AutTriple(one_m, one_m, one_n))
+    gens += [AutTriple(one_m, 0, y) for y in _greedy_generators(aut.valid_ys(t), t.n)]
+    identity = aut.identity_aut(t)
+    return [a for a in gens if a != identity]
+
+
 def reference_absolute_center_oracle(
     t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
 ) -> set[ZmElement]:
@@ -58,7 +106,7 @@ def reference_absolute_center_oracle(
         )
     identity = aut.identity_aut(t)
     family = [a for a in aut.enumerate_family(t, "all") if a != identity]
-    geo = t._geo
+    geo = _geo_table(t)
     m, n = t.m, t.n
     fixed: set[ZmElement] = set()
     for u in range(n):
@@ -77,7 +125,7 @@ def reference_generator_oracle(
 ) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
-    Scans all m*n elements against `aut.family_generators`, never the
+    Scans all m*n elements against `family_generators`, never the
     closed form and never the enumerated family.  That is exact: (1) the
     common fixed points of a generating set are the fixed points of the
     group; (2) (1, 1, 1) and the (g, 0, 1) generate the y = 1 subgroup,
@@ -90,8 +138,8 @@ def reference_generator_oracle(
         raise BoundExceededError(
             f"{t} has order {t.order} > oracle bound {oracle_bound}"
         )
-    gens = aut.family_generators(t)
-    geo = t._geo
+    gens = family_generators(t)
+    geo = _geo_table(t)
     m, n = t.m, t.n
     fixed: set[ZmElement] = set()
     for u in range(n):
@@ -103,6 +151,42 @@ def reference_generator_oracle(
             ):
                 fixed.add(ZmElement(u, v))
     return fixed
+
+
+def reference_product_oracle(
+    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
+) -> set[ZmElement]:
+    """The exact fixed-point set of the full automorphism family.
+
+    Tests residues against `family_generators`, never the closed form
+    and never the enumerated family.  That is exact: (1) the common fixed
+    points of a generating set are the fixed points of the group; (2)
+    (1, 1, 1) and the (g, 0, 1) generate the y = 1 subgroup, Hol(C_m); (3)
+    (x1, x2, y) |-> y maps the family onto the admissible y with that
+    kernel, so the (1, 0, y) complete the generating set; (4) each
+    generator has x1 = 1 or x2 = 0 (mod m), so its condition
+    (x1 - 1)*v + x2*[u]_r = 0 (mod m) is x2*[u]_r = 0 or (x1 - 1)*v = 0,
+    and the fixed set is U x V: U the u in [0, n) with y*u = u and
+    x2*[u]_r = 0 for every generator, V the v in [0, m) with
+    (x1 - 1)*v = 0 for every generator.  A generator with x1 != 1 and
+    x2 != 0 is a RuntimeError.  The closure test checks (1)-(3) in code.
+    By construction the result is a subgroup contained in the center.
+    """
+    if t.order > oracle_bound:
+        raise BoundExceededError(
+            f"{t} has order {t.order} > oracle bound {oracle_bound}"
+        )
+    gens = family_generators(t)
+    m, n = t.m, t.n
+    if any((x1 - 1) % m and x2 % m for x1, x2, _ in gens):
+        raise RuntimeError(f"a generator of Aut({t}) has x1 != 1 and x2 != 0")
+    geo = _geo_table(t)
+    us = [
+        u for u in range(n)
+        if all((y * u) % n == u and (x2 * geo[u]) % m == 0 for _, x2, y in gens)
+    ]
+    vs = [v for v in range(m) if all(((x1 - 1) * v) % m == 0 for x1, _, _ in gens)]
+    return {ZmElement(u, v) for u in us for v in vs}
 
 
 def reference_verify_forward(
@@ -238,3 +322,36 @@ def reference_is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
                 if t[tij][k] != ti[tj[k]]:
                     return False
     return True
+
+
+def reference_direct_product(factors: list[CayleyGroup]) -> CayleyGroup:
+    """Componentwise product, index tuples flattened factor-major, with
+    both indices of every table entry split into their parts afresh."""
+    if len(factors) == 0:
+        return cyclic_group(1)
+    if len(factors) == 1:
+        return factors[0]
+    order = math.prod(g.order for g in factors)
+    sizes = [g.order for g in factors]
+    strides = [1] * len(factors)
+    for i in range(len(factors) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+
+    def split(idx: int) -> tuple[int, ...]:
+        return tuple((idx // strides[i]) % sizes[i] for i in range(len(factors)))
+
+    def join(parts) -> int:
+        return sum(p * s for p, s in zip(parts, strides))
+
+    table = tuple(
+        tuple(
+            join(f.table[x][y] for f, x, y in zip(factors, split(i), split(j)))
+            for j in range(order)
+        )
+        for i in range(order)
+    )
+    labels = tuple(
+        "(" + ",".join(f.labels[p] for f, p in zip(factors, split(i))) + ")"
+        for i in range(order)
+    )
+    return CayleyGroup.from_table(table, labels)

@@ -6,6 +6,7 @@ from slow_reference import (
     reference_absolute_center_formula,
     reference_absolute_center_oracle,
     reference_generator_oracle,
+    reference_product_oracle,
 )
 from zmcenter import abscenter, aut, cli
 from zmcenter.errors import BoundExceededError
@@ -139,15 +140,17 @@ class TestOracle:
             t = validate_triple(1, n, 1)
             assert abscenter.absolute_center_oracle(t) == reference_generator_oracle(t), t
 
-    def test_non_splitting_generator_raises(self, monkeypatch, zm_5_4_2):
-        # (2, 1, 1) is a real automorphism of ZM(5,4,2), but with x1 != 1
-        # and x2 != 0 its condition ties u to v, so the product scan is void
-        real_generators = aut.family_generators
-        monkeypatch.setattr(
-            aut, "family_generators", lambda t: [*real_generators(t), aut.AutTriple(2, 1, 1)]
-        )
-        with pytest.raises(RuntimeError):
-            abscenter.absolute_center_oracle(zm_5_4_2)
+    def test_equals_product_scan(self):
+        regimes = set()
+        checked = 0
+        for t in iter_valid_triples(2000):
+            assert abscenter.absolute_center_oracle(t) == reference_product_oracle(t), t
+            regimes.add(t.regime_guaranteed)
+            checked += 1
+        assert checked == 7318 and regimes == {True, False}
+        for n in range(1, 31):
+            t = validate_triple(1, n, 1)
+            assert abscenter.absolute_center_oracle(t) == reference_product_oracle(t), t
 
     def test_never_enumerates_the_family_or_reads_the_closed_form(
         self, monkeypatch, small_triples

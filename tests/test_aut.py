@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_helpers import compose, invert
+from slow_reference import family_generators
 from zmcenter import aut
 from zmcenter.errors import AutParamError
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
@@ -170,17 +171,35 @@ class TestEnumerateFamily:
 
 def generated_closure(t, gens) -> set:
     """Every product of the generators under compose (a finite group,
-    so positive words already reach the inverses)."""
+    so positive words already reach the inverses).  A generator already
+    in the subgroup built so far adds nothing and is skipped, so a long
+    list costs one membership test per redundant member."""
     members = {aut.identity_aut(t)}
-    frontier = list(members)
-    while frontier:
-        alpha = frontier.pop()
-        for g in gens:
-            beta = compose(t, g, alpha)
-            if beta not in members:
-                members.add(beta)
-                frontier.append(beta)
+    kept = []
+    for g in gens:
+        if g in members:
+            continue
+        kept.append(g)
+        frontier = list(members)
+        while frontier:
+            alpha = frontier.pop()
+            for h in kept:
+                beta = compose(t, h, alpha)
+                if beta not in members:
+                    members.add(beta)
+                    frontier.append(beta)
     return members
+
+
+def oracle_subfamilies(t) -> list:
+    """The members `abscenter.absolute_center_oracle` tests: (x1, 0, 1) for
+    every unit, (1, 1, 1), and (1, 0, y) for every admissible y."""
+    one_m, one_n = 1 % t.m, 1 % t.n
+    return [
+        *(aut.AutTriple(x1, 0, one_n) for x1 in aut.units(t)),
+        aut.AutTriple(one_m, one_m, one_n),
+        *(aut.AutTriple(one_m, 0, y) for y in aut.valid_ys(t)),
+    ]
 
 
 CYCLIC_TRIPLES = [validate_triple(1, n, 1) for n in range(1, 31)]
@@ -190,14 +209,15 @@ class TestFamilyGenerators:
     def test_closure_is_the_family(self):
         checked = 0
         for t in [*iter_valid_triples(150), *CYCLIC_TRIPLES]:
-            gens = aut.family_generators(t)
-            assert generated_closure(t, gens) == set(aut.enumerate_family(t, "all")), t
+            family = set(aut.enumerate_family(t, "all"))
+            for gens in (family_generators(t), oracle_subfamilies(t)):
+                assert generated_closure(t, gens) == family, t
             checked += 1
         assert checked == 192 + 30
 
     def test_size_is_logarithmic(self):
         for t in [*iter_valid_triples(400), *CYCLIC_TRIPLES]:
-            gens = aut.family_generators(t)
+            gens = family_generators(t)
             phi, ys = t.phi_m, len(aut.valid_ys(t))
             assert len(gens) <= 1 + math.log2(phi) + math.log2(ys), t
             unit_gens = [a for a in gens if a.x2 == 0 and a.y == 1 % t.n]
@@ -207,7 +227,7 @@ class TestFamilyGenerators:
     def test_classic_fixture(self, zm_5_16_2):
         # units mod 5 are cyclic on 2; the admissible y = 1 mod 4 mod 16
         # are cyclic on 5
-        assert aut.family_generators(zm_5_16_2) == [
+        assert family_generators(zm_5_16_2) == [
             aut.AutTriple(2, 0, 1),
             aut.AutTriple(1, 1, 1),
             aut.AutTriple(1, 0, 5),
@@ -215,8 +235,8 @@ class TestFamilyGenerators:
 
     def test_identity_never_listed(self):
         for t in CYCLIC_TRIPLES:
-            assert aut.identity_aut(t) not in aut.family_generators(t)
-        assert aut.family_generators(validate_triple(1, 1, 1)) == []
+            assert aut.identity_aut(t) not in family_generators(t)
+        assert family_generators(validate_triple(1, 1, 1)) == []
 
 
 class TestAutCounts:

@@ -137,6 +137,15 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "6", "--json")
         assert out1 == out2
 
+    def test_large_prime_factor_verifies(self, capsys):
+        # n = q^2 of the factor triple is past psi_12, where factorize
+        # refuses; the regime flag must not need to factor it
+        code, out, _ = run(capsys, "verify", "1000000000039", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["forward_results"][-1]["factors"][0]["triple"]["n"] == 1000000000039**2
+
 
 class TestOracleCheck:
     def test_agreement_case(self, capsys):
@@ -154,7 +163,8 @@ class TestOracleCheck:
         calls = []
         for module, name in [
             (aut, "enumerate_family"),
-            (aut, "family_generators"),
+            (aut, "units"),
+            (aut, "valid_ys"),
             (abscenter, "absolute_center_oracle"),
         ]:
             real = getattr(module, name)

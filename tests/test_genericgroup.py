@@ -4,7 +4,7 @@ import random
 import pytest
 
 from group_helpers import center_bruteforce
-from slow_reference import reference_closure, reference_is_associative
+from slow_reference import reference_closure, reference_direct_product, reference_is_associative
 from zmcenter import aut, genericgroup as gg
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import factorize
@@ -207,6 +207,26 @@ class TestDirectProduct:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             gg.direct_product([gg.cyclic_group(50), gg.cyclic_group(50)], table_bound=2000)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [(1, 2, 1), (1, 3, 1)],
+            [(3, 4, 2), (1, 5, 1)],
+            [(1, 4, 1), (3, 2, 2)],
+            [(5, 4, 2), (7, 3, 2)],
+            [(1, 2, 1), (3, 2, 2), (1, 3, 1)],
+            [(3, 2, 2), (1, 1, 1), (5, 4, 2)],
+            [(1, 2, 1), (1, 2, 1), (1, 2, 1)],
+        ],
+    )
+    def test_equals_split_per_entry_reference(self, factors):
+        groups = [validate_triple(*mnr).cayley() for mnr in factors]
+        prod = gg.direct_product(groups)
+        ref = reference_direct_product(groups)
+        assert prod.table == ref.table
+        assert prod.labels == ref.labels
+        assert prod.identity_index == ref.identity_index
 
 
 class TestSubgroups:

@@ -56,6 +56,14 @@ class TestValidateTriple:
         assert not zm_5_48_2.regime_guaranteed  # 3 divides 48 but not 4
         assert not zm_7_6_2.regime_guaranteed   # 2 divides 6 but not 3
 
+    def test_regime_flag_matches_factorization(self):
+        regimes = set()
+        for t in [*iter_valid_triples(2000), *(validate_triple(1, n, 1) for n in range(1, 31))]:
+            expected = all(t.d % p == 0 for p, _ in factorize(t.n).pairs)
+            assert t.regime_guaranteed == expected, t
+            regimes.add(expected)
+        assert regimes == {True, False}
+
 
 class TestElementArithmetic:
     def test_identity_and_a_b_relation(self, zm_5_16_2):
