@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import aut
 from .config import DEFAULT_BOUNDS
@@ -100,17 +101,19 @@ def absolute_center_oracle(
     of step = n / gcd(n, y - 1 over all y) (that is n | (y - 1)*u for
     every y) with [u]_r = 0 (mod m), walked along the multiples as
     [u + step]_r = [u]_r + r^u * [step]_r.  V is the multiples of
-    m / gcd(m, x1 - 1 over all units).  Cost O(phi(m) + |Y| + n/step)
-    after the two lists are built.  The closure test checks (1)-(3) in
-    code.  By construction the result is a subgroup contained in the
-    center.
+    m / gcd(m, x1 - 1 over all units).  Both gcd folds read their lazy
+    lists only until they reach their floor: d divides n and every y - 1
+    (y = 1 mod d), and the V fold ends at 1, at x1 = 2 for the odd m > 1.
+    Cost O(|Y| + n/step) at most; the V fold reads at most two units.
+    The closure test checks (1)-(3) in code.  By construction the result
+    is a subgroup contained in the center.
     """
     if t.order > oracle_bound:
         raise BoundExceededError(
             f"{t} has order {t.order} > oracle bound {oracle_bound}"
         )
     m, n, r = t.m, t.n, t.r
-    step = n // math.gcd(n, *(y - 1 for y in aut.valid_ys(t)))
+    step = n // _gcd_fold(n, (y - 1 for y in aut.valid_ys(t)), t.d)
     r_step = pow(r, step, m)
     geo_step = geometric_sum_mod(r, step, m)
     us = []
@@ -120,8 +123,18 @@ def absolute_center_oracle(
             us.append(u)
         geo_u = (geo_u + r_u * geo_step) % m
         r_u = r_u * r_step % m
-    v_step = m // math.gcd(m, *(x1 - 1 for x1 in aut.units(t)))
+    v_step = m // _gcd_fold(m, (x1 - 1 for x1 in aut.units(t)), 1)
     return {ZmElement(u, v) for u in us for v in range(0, m, v_step)}
+
+
+def _gcd_fold(g: int, values: Iterable[int], floor: int) -> int:
+    """gcd(g, *values), reading values only until the fold reaches
+    `floor`, a known divisor of g and of every value."""
+    for x in values:
+        g = math.gcd(g, x)
+        if g == floor:
+            break
+    return g
 
 
 @dataclass(frozen=True)

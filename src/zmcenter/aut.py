@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import AutParamError
 from .numtheory import geometric_sum_mod
@@ -78,16 +78,18 @@ def conjugation(t: ZmTriple, h: ZmElement) -> AutTriple:
     return _from_generator_images(t, conj(t.element(0, 1)), conj(t.element(1, 0)))
 
 
-def units(t: ZmTriple) -> list[int]:
-    """The admissible x1: residues mod m prime to m."""
-    return [x for x in range(t.m) if math.gcd(x, t.m) == 1]
+def units(t: ZmTriple) -> Iterator[int]:
+    """The admissible x1, in increasing order: residues mod m prime to m.
+    Lazy, so a caller that stops early never builds the phi(m) of them."""
+    return (x for x in range(t.m) if math.gcd(x, t.m) == 1)
 
 
-def valid_ys(t: ZmTriple) -> list[int]:
-    """All admissible b-exponents: y = 1 (mod d) and gcd(y, n) = 1."""
+def valid_ys(t: ZmTriple) -> Iterator[int]:
+    """All admissible b-exponents, in increasing order: y = 1 (mod d) and
+    gcd(y, n) = 1.  Lazy like `units`."""
     if t.n == 1:
-        return [0]
-    return [y for y in range(1, t.n, t.d) if math.gcd(y, t.n) == 1]
+        return iter((0,))
+    return (y for y in range(1, t.n, t.d) if math.gcd(y, t.n) == 1)
 
 
 def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
@@ -98,8 +100,8 @@ def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    x1s = units(t)
-    ys = valid_ys(t)
+    x1s = list(units(t))
+    ys = list(valid_ys(t))
     if family == "all":
         # tuple.__new__ builds the namedtuples in C: this list is m*phi(m)*|Y| long
         out = list(map(_new_aut_triple, product(x1s, range(t.m), ys)))

@@ -5,6 +5,13 @@ This is the independent ground truth for every closed formula in the
 package, so construction is paranoid: tables are checked to be Latin
 squares with identity, and associativity is proved at every order by
 Light's test on a generating set.
+
+The two scans do less work for the same answers.  `subgroups` extends a
+known subgroup s by one element per right coset s*g, since
+<s, h*g> = <s, g> for every h in s.  `automorphisms_bruteforce` extends
+a partial map one generator at a time and checks each (element,
+generator) pair once: the pairs already checked stay consistent, because
+the map only grows.
 """
 
 from __future__ import annotations
@@ -55,10 +62,10 @@ class CayleyGroup:
         # = x*((a*b)*y).  So A holds every product ((e*s1)*s2)*... of
         # elements that pass the check, and when the closure of a set S
         # is the whole table, checking S alone proves associativity.
-        # `_generating_sequence` picks such an S (its closure search only
+        # `generating_sequence` picks such an S (its closure search only
         # right-multiplies, so it is sound on any Latin square): O(n^2 |S|).
         t = self.table
-        for a in _generating_sequence(self):
+        for a in self.generating_sequence:
             x_times_a_row = itemgetter(*t[a])  # row x at (a*y) is x*(a*y)
             for x, row in enumerate(t):
                 xa_row = t[row[a]]
@@ -74,16 +81,44 @@ class CayleyGroup:
     def inverse(self, i: int) -> int:
         return self.table[i].index(self.identity_index)
 
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity_index:
-            x = self.table[x][i]
-            k += 1
-        return k
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(i) for i in range(self.order))
+        """Every element's order.  One walk of the powers g, g^2, ... of
+        each g whose order is still unknown, which assigns
+        ord(g^k) = ord(g) / gcd(k, ord(g)) to every power on the walk.
+        `_validate` reads them before associativity is proved; there they
+        only rank candidate generators, which Light's test does not need."""
+        table, ident = self.table, self.identity_index
+        orders = [0] * self.order
+        orders[ident] = 1
+        for g in range(self.order):
+            if orders[g]:
+                continue
+            powers = [g]
+            while powers[-1] != ident:
+                powers.append(table[powers[-1]][g])
+            k_g = len(powers)
+            for k, x in enumerate(powers, 1):
+                if not orders[x]:
+                    orders[x] = k_g // math.gcd(k, k_g)
+        return tuple(orders)
+
+    @cached_property
+    def generating_sequence(self) -> tuple[int, ...]:
+        """Greedy: highest-order element first, then keep adding a
+        highest-order element outside the closure (smallest index on ties).
+        Built once per table for Light's test and the automorphism search."""
+        gens: list[int] = []
+        have = frozenset([self.identity_index])
+        orders = self.element_orders
+        while len(have) < self.order:
+            best = max(
+                (i for i in range(self.order) if i not in have),
+                key=lambda i: (orders[i], -i),
+            )
+            gens.append(best)
+            have = self.closure(set(gens))
+        return tuple(gens)
 
     def closure(self, seed: frozenset[int] | set[int] | tuple[int, ...]) -> frozenset[int]:
         """Subgroup generated by the seed, by a search of its Cayley graph
@@ -183,9 +218,11 @@ def subgroups(
     group: CayleyGroup, subgroup_bound: int = DEFAULT_BOUNDS.subgroups
 ) -> list[Subgroup]:
     """Every subgroup, by breadth-first closure: seed with the cyclic
-    subgroups, then repeatedly extend each known subgroup by one outside
-    element and close.  Output is sorted by (order, member tuple) so runs
-    are reproducible."""
+    subgroups, then repeatedly extend each known subgroup s by one outside
+    element g per right coset s*g and close.  One per coset suffices:
+    <s, h*g> = <s, g> for every h in s, as h is in s and g = h^-1 * (h*g).
+    So each s costs |G|/|s| - 1 closures instead of |G| - |s|.  Output is
+    sorted by (order, member tuple) so runs are reproducible."""
     if group.order > subgroup_bound:
         raise BoundExceededError(
             f"order {group.order} > subgroup enumeration bound {subgroup_bound}"
@@ -199,37 +236,27 @@ def subgroups(
         if s not in known:
             known[s] = (g,)
             frontier.append(s)
+    table = group.table
     while frontier:
         fresh = []
         for s in frontier:
             gens = known[s]
+            # the cosets s*g already extended by; the first g of a coset
+            # is its least element, so `known` records the same
+            # generators as extending by every g would
+            seen = set(s)
             for g in range(group.order):
-                if g in s:
+                if g in seen:
                     continue
                 t = group.closure(gens + (g,))
                 if t not in known:
                     known[t] = gens + (g,)
                     fresh.append(t)
+                seen.update(table[h][g] for h in s)
         frontier = fresh
     out = [Subgroup(group, tuple(sorted(s))) for s in known]
     out.sort(key=lambda s: (s.order, s.members))
     return out
-
-
-def _generating_sequence(group: CayleyGroup) -> list[int]:
-    """Greedy: highest-order element first, then keep adding a highest-order
-    element outside the closure (smallest index on ties)."""
-    gens: list[int] = []
-    have = frozenset([group.identity_index])
-    orders = group.element_orders
-    while len(have) < group.order:
-        best = max(
-            (i for i in range(group.order) if i not in have),
-            key=lambda i: (orders[i], -i),
-        )
-        gens.append(best)
-        have = group.closure(set(gens))
-    return gens
 
 
 def automorphisms_bruteforce(
@@ -237,62 +264,87 @@ def automorphisms_bruteforce(
 ) -> list[tuple[int, ...]]:
     """All table-preserving bijections, as index permutations (sorted).
 
-    Backtracks on the images of a greedy generating sequence.  A partial
-    assignment is propagated breadth-first (phi(x*g) := phi(x)*phi(g));
-    any clash of images, or a repeated image, prunes the branch.  Checking
-    phi(x*g) = phi(x)phi(g) for every x and every generator g is enough:
-    induction over words in the generators extends it to all pairs.
+    Backtracks on the images of the greedy generating sequence g_1, g_2,
+    ...; any clash of images, or a repeated image, prunes the branch.
+    Invariant on entering level k: `reached` is <g_1, ..., g_k-1>, phi is
+    defined exactly there, injective, and phi(x*g) = phi(x)*phi(g) for
+    every x in `reached` and every assigned g.  Giving g_k an image keeps
+    those pairs checked, so only the old elements are checked against
+    g_k, and then each newly reached element against every assigned
+    generator: each (element, generator) pair is checked once per node.
+    The new `reached` is closed under right multiplication by g_1..g_k,
+    so it is <g_1, ..., g_k>.  At the last level it is the whole group,
+    and the checked pairs are enough: induction over words in the
+    generators extends phi(x*g) = phi(x)phi(g) to all pairs.
     """
     n = group.order
     if n > aut_bound:
         raise BoundExceededError(f"order {n} > automorphism bound {aut_bound}")
     if n == 1:
         return [(0,)]
-    gens = _generating_sequence(group)
+    gens = group.generating_sequence
     orders = group.element_orders
     table = group.table
     ident = group.identity_index
     found: list[tuple[int, ...]] = []
+    phi = [-1] * n
+    phi[ident] = ident
+    used = [False] * n  # used[w]: w is already some phi(x)
+    used[ident] = True
 
-    def propagate(phi: list[int], used: set[int], assigned: list[int]) -> bool:
-        """Close phi under right multiplication by the assigned generators,
-        checking consistency on every (element, generator) pair."""
-        reached = [i for i in range(n) if phi[i] >= 0]
-        queue = list(reached)
-        while queue:
-            x = queue.pop()
-            for g in assigned:
-                z = table[x][g]
-                w = table[phi[x]][phi[g]]
+    def extend(reached: list[int], level: int, fresh: list[int]) -> bool:
+        """Close phi under the generators up to gens[level], whose image
+        is set and which is the first entry of `fresh`; every element
+        given an image is appended to `fresh`, also on a clash."""
+        g = gens[level]
+        img = phi[g]
+        for x in reached:  # old elements: new generator only
+            z = table[x][g]
+            w = table[phi[x]][img]
+            if phi[z] < 0:
+                if used[w]:
+                    return False  # two preimages; not injective
+                phi[z] = w
+                used[w] = True
+                fresh.append(z)
+            elif phi[z] != w:
+                return False
+        assigned = gens[: level + 1]
+        # new elements: every assigned generator; the loop also visits
+        # the elements it appends
+        for x in fresh:
+            row, image_row = table[x], table[phi[x]]
+            for h in assigned:
+                z = row[h]
+                w = image_row[phi[h]]
                 if phi[z] < 0:
-                    if w in used:
-                        return False  # two preimages; not injective
+                    if used[w]:
+                        return False
                     phi[z] = w
-                    used.add(w)
-                    queue.append(z)
+                    used[w] = True
+                    fresh.append(z)
                 elif phi[z] != w:
                     return False
         return True
 
-    def backtrack(level: int, phi: list[int], used: set[int]) -> None:
+    def backtrack(level: int, reached: list[int]) -> None:
         if level == len(gens):
-            if all(x >= 0 for x in phi):
-                found.append(tuple(phi))
+            found.append(tuple(phi))
             return
         g = gens[level]
         for img in range(n):
-            if img in used or orders[img] != orders[g]:
+            if used[img] or orders[img] != orders[g]:
                 continue
-            phi2 = phi[:]
-            used2 = set(used)
-            phi2[g] = img
-            used2.add(img)
-            if propagate(phi2, used2, gens[: level + 1]):
-                backtrack(level + 1, phi2, used2)
+            phi[g] = img
+            used[img] = True
+            fresh = [g]
+            if extend(reached, level, fresh):
+                backtrack(level + 1, reached + fresh)
+            for z in fresh:  # undo
+                used[phi[z]] = False
+                phi[z] = -1
 
-    phi0 = [-1] * n
-    phi0[ident] = ident
-    backtrack(0, phi0, {ident})
+    backtrack(0, [ident])
     found.sort()
     return found
 

@@ -7,10 +7,15 @@ the fixed-point oracle moved from the whole enumerated automorphism
 family to a greedy generating set of it, then from every element to the
 product of the u- and v-residues, and then to strides over the three
 generating subfamilies, `CayleyGroup` moved from checking every triple
-for associativity to Light's test on a generating set, and
+for associativity to Light's test on a generating set,
 `direct_product` moved from splitting both indices of every table entry
-to splitting each index once.  The tests check the package against them;
-they are never used by the package itself.
+to splitting each index once, `CayleyGroup.element_orders` moved from
+walking every element's powers to one walk per cyclic subgroup,
+`subgroups` moved from extending by every outside element to one element
+per right coset, and `automorphisms_bruteforce` moved from re-closing the
+whole partial map at every node to checking each new pair once.  The
+tests check the package against them; they are never used by the
+package itself.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from zmcenter import abscenter, aut, realiser
 from zmcenter.aut import AutTriple
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
 from zmcenter.errors import BoundExceededError
-from zmcenter.genericgroup import CayleyGroup, cyclic_group
+from zmcenter.genericgroup import CayleyGroup, Subgroup, cyclic_group
 from zmcenter.numtheory import Factorization, factorize, geometric_sum_mod, is_prime
 from zmcenter.zm import ZmElement, ZmTriple
 
@@ -355,3 +360,119 @@ def reference_direct_product(factors: list[CayleyGroup]) -> CayleyGroup:
         for i in range(order)
     )
     return CayleyGroup.from_table(table, labels)
+
+
+def reference_element_orders(group: CayleyGroup) -> tuple[int, ...]:
+    """Every element's order, each found by walking all of its powers:
+    O(sum of the orders) products."""
+
+    def element_order(i: int) -> int:
+        k, x = 1, i
+        while x != group.identity_index:
+            x = group.table[x][i]
+            k += 1
+        return k
+
+    return tuple(element_order(i) for i in range(group.order))
+
+
+def reference_subgroups(
+    group: CayleyGroup, subgroup_bound: int = DEFAULT_BOUNDS.subgroups
+) -> list[Subgroup]:
+    """Every subgroup, by breadth-first closure: seed with the cyclic
+    subgroups, then repeatedly extend each known subgroup by one outside
+    element and close.  Output is sorted by (order, member tuple) so runs
+    are reproducible."""
+    if group.order > subgroup_bound:
+        raise BoundExceededError(
+            f"order {group.order} > subgroup enumeration bound {subgroup_bound}"
+        )
+    # each subgroup keeps the generators it was reached by: extending s
+    # by g closes <gens(s), g> = <s, g> from a handful of seeds
+    known: dict[frozenset[int], tuple[int, ...]] = {frozenset([group.identity_index]): ()}
+    frontier = []
+    for g in range(group.order):
+        s = group.closure({g})
+        if s not in known:
+            known[s] = (g,)
+            frontier.append(s)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            gens = known[s]
+            for g in range(group.order):
+                if g in s:
+                    continue
+                t = group.closure(gens + (g,))
+                if t not in known:
+                    known[t] = gens + (g,)
+                    fresh.append(t)
+        frontier = fresh
+    out = [Subgroup(group, tuple(sorted(s))) for s in known]
+    out.sort(key=lambda s: (s.order, s.members))
+    return out
+
+
+def reference_automorphisms_bruteforce(
+    group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
+) -> list[tuple[int, ...]]:
+    """All table-preserving bijections, as index permutations (sorted).
+
+    Backtracks on the images of a greedy generating sequence.  A partial
+    assignment is propagated breadth-first (phi(x*g) := phi(x)*phi(g));
+    any clash of images, or a repeated image, prunes the branch.  Checking
+    phi(x*g) = phi(x)phi(g) for every x and every generator g is enough:
+    induction over words in the generators extends it to all pairs.
+    """
+    n = group.order
+    if n > aut_bound:
+        raise BoundExceededError(f"order {n} > automorphism bound {aut_bound}")
+    if n == 1:
+        return [(0,)]
+    gens = list(group.generating_sequence)
+    orders = group.element_orders
+    table = group.table
+    ident = group.identity_index
+    found: list[tuple[int, ...]] = []
+
+    def propagate(phi: list[int], used: set[int], assigned: list[int]) -> bool:
+        """Close phi under right multiplication by the assigned generators,
+        checking consistency on every (element, generator) pair."""
+        reached = [i for i in range(n) if phi[i] >= 0]
+        queue = list(reached)
+        while queue:
+            x = queue.pop()
+            for g in assigned:
+                z = table[x][g]
+                w = table[phi[x]][phi[g]]
+                if phi[z] < 0:
+                    if w in used:
+                        return False  # two preimages; not injective
+                    phi[z] = w
+                    used.add(w)
+                    queue.append(z)
+                elif phi[z] != w:
+                    return False
+        return True
+
+    def backtrack(level: int, phi: list[int], used: set[int]) -> None:
+        if level == len(gens):
+            if all(x >= 0 for x in phi):
+                found.append(tuple(phi))
+            return
+        g = gens[level]
+        for img in range(n):
+            if img in used or orders[img] != orders[g]:
+                continue
+            phi2 = phi[:]
+            used2 = set(used)
+            phi2[g] = img
+            used2.add(img)
+            if propagate(phi2, used2, gens[: level + 1]):
+                backtrack(level + 1, phi2, used2)
+
+    phi0 = [-1] * n
+    phi0[ident] = ident
+    backtrack(0, phi0, {ident})
+    found.sort()
+    return found

@@ -177,6 +177,36 @@ class TestOracle:
         abscenter.compare(small_triples[2])
         assert calls == ["absolute_center_formula"]
 
+    def test_gcd_folds_stop_at_their_floor(self, monkeypatch, zm_5_16_2):
+        read = {"units": 0, "valid_ys": 0}
+
+        def counting(name, real):
+            def wrapped(t):
+                for x in real(t):
+                    read[name] += 1
+                    yield x
+
+            return wrapped
+
+        monkeypatch.setattr(aut, "units", counting("units", aut.units))
+        monkeypatch.setattr(aut, "valid_ys", counting("valid_ys", aut.valid_ys))
+        for t in [*iter_valid_triples(2000), *(validate_triple(1, n, 1) for n in range(1, 31))]:
+            read["units"] = 0
+            abscenter.absolute_center_oracle(t)
+            # x1 = 1 leaves m, x1 = 2 takes the fold to 1 (m is odd)
+            assert read["units"] == min(t.m, 2), t
+        # y = 1, 5 mod 16: gcd(16, 0, 4) is already d = 4; 9 and 13 stay unread
+        read["valid_ys"] = 0
+        abscenter.absolute_center_oracle(zm_5_16_2)
+        assert read["valid_ys"] == 2
+        # m = 10^12 + 39 is prime and 1 (mod 3): phi(m) units could never be
+        # listed, yet the oracle reads two of them
+        m = 10**12 + 39
+        t = validate_triple(m, 3, pow(2, (m - 1) // 3, m))
+        read["units"] = 0
+        fixed = abscenter.absolute_center_oracle(t, oracle_bound=t.order)
+        assert read["units"] == 2 and fixed == {ZmElement(0, 0)}
+
 
 class TestCompare:
     def test_agreement_on_classic_fixtures(self, zm_5_16_2, zm_5_48_2):

@@ -218,7 +218,7 @@ class TestFamilyGenerators:
     def test_size_is_logarithmic(self):
         for t in [*iter_valid_triples(400), *CYCLIC_TRIPLES]:
             gens = family_generators(t)
-            phi, ys = t.phi_m, len(aut.valid_ys(t))
+            phi, ys = t.phi_m, len(list(aut.valid_ys(t)))
             assert len(gens) <= 1 + math.log2(phi) + math.log2(ys), t
             unit_gens = [a for a in gens if a.x2 == 0 and a.y == 1 % t.n]
             y_gens = [a for a in gens if a.y != 1 % t.n]

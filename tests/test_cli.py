@@ -335,6 +335,14 @@ class TestBoundExits:
         assert out == ""
         assert "psi_12 = 318665857834031151167461" in err
 
+    def test_cofactor_just_above_certified_limit_exits_3(self, capsys):
+        # 133873 * 1542841351^2, a product the factorize cross-check with
+        # sympy must not draw: factorize refuses it
+        code, out, err = run(capsys, "realise", "318665858555474547773473")
+        assert code == 3
+        assert out == ""
+        assert "cofactor 318665858555474547773473 is outside" in err
+
     def test_prime_budget_exhausted_exits_3(self, capsys):
         code, _, err = run(capsys, "realise", "4", "--prime-budget", "0")
         assert code == 3

@@ -1,7 +1,8 @@
 """Replay of recorded CLI invocations against golden files: exit code,
 SHA-256 of stdout and the stderr text must match byte for byte.
 
-* `converse_golden.json` pins `verify N --converse [--json]` for N = 1..30.
+* `converse_golden.json` pins `verify N --converse [--json]` for N = 1..30,
+  and for N = 5 and 10 with raised aut and subgroup bounds.
 * `cli_golden.json` pins every other subcommand: `abscenter`, `aut`,
   `realise N` and forward `verify N` for N = 1..30, `oracle-check` on
   triples within the oracle bound, `realise N --json` on 40 seeded
@@ -33,11 +34,20 @@ TEXT_AND_JSON = ([], ["--json"])
 
 
 def _converse_argvs() -> list[list[str]]:
-    return [
+    argvs = [
         ["verify", str(n), "--converse", *flag]
         for n in range(1, N_MAX + 1)
         for flag in (["--json"], [])
     ]
+    # raised scan bounds admit the factor ZM(11,25,.) of order 275, a
+    # table above the default bounds
+    raised = ["--aut-bound", "2000", "--subgroup-bound", "2000"]
+    argvs += [
+        ["verify", n, "--converse", *flag, *raised]
+        for n in ("5", "10")
+        for flag in (["--json"], [])
+    ]
+    return argvs
 
 
 def _prime_between(rng: random.Random, lo: int, hi: int) -> int:

@@ -4,7 +4,14 @@ import random
 import pytest
 
 from group_helpers import center_bruteforce
-from slow_reference import reference_closure, reference_direct_product, reference_is_associative
+from slow_reference import (
+    reference_automorphisms_bruteforce,
+    reference_closure,
+    reference_direct_product,
+    reference_element_orders,
+    reference_is_associative,
+    reference_subgroups,
+)
 from zmcenter import aut, genericgroup as gg
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import factorize
@@ -28,7 +35,7 @@ class TestCayleyGroupConstruction:
             group = gg.cyclic_group(k)
             assert group.order == k
             assert group.identity_index == 0
-            assert group.element_order(0) == 1
+            assert group.element_orders[0] == 1
 
     def test_rejects_broken_tables(self):
         with pytest.raises(ValueError):
@@ -158,7 +165,7 @@ class TestAssociativityCheck:
 
     def test_loop_failing_on_the_second_generator_only(self):
         unchecked = gg.CayleyGroup(6, LOOP_6, tuple("abcdef"), 0)
-        assert gg._generating_sequence(unchecked) == [3, 1]
+        assert unchecked.generating_sequence == (3, 1)
 
         def light_passes(a: int) -> bool:
             t = LOOP_6
@@ -335,6 +342,60 @@ class TestClosureMatchesReference:
         for _ in range(200):
             seed = {rng.randrange(group.order) for _ in range(rng.randint(0, 3))}
             assert group.closure(seed) == reference_closure(group, seed), seed
+
+
+class TestElementOrders:
+    def test_equal_to_walking_every_power(self):
+        groups = [t.cayley() for t in iter_valid_triples(200)]
+        groups += [gg.cyclic_group(k) for k in (*range(1, 61), 1000)]
+        for group in groups:
+            assert group.element_orders == reference_element_orders(group)
+
+
+# the lattice and automorphism scans against the ones that extend by
+# every outside element and re-close the whole partial map at each node
+def _reference_groups() -> list[gg.CayleyGroup]:
+    return [
+        *(t.cayley() for t in iter_valid_triples(REFERENCE_LATTICE_MAX_ORDER)),
+        *(gg.cyclic_group(k) for k in range(1, 31)),
+        gg.direct_product([validate_triple(3, 4, 2).cayley(), gg.cyclic_group(5)]),
+    ]
+
+
+class TestScansMatchReference:
+    def test_subgroup_lattices(self):
+        for group in _reference_groups():
+            fast = [s.members for s in gg.subgroups(group)]
+            assert fast == [s.members for s in reference_subgroups(group)]
+
+    def test_automorphisms_of_groups_and_their_subgroups(self):
+        checked = 0
+        for group in _reference_groups():
+            for table in [group, *(s.as_group() for s in gg.subgroups(group))]:
+                fast = gg.automorphisms_bruteforce(table)
+                assert fast == reference_automorphisms_bruteforce(table), table.labels
+                checked += 1
+        assert checked > 1000
+
+    def test_one_closure_per_right_coset(self, monkeypatch, zm_5_16_2):
+        group = zm_5_16_2.cayley()
+        calls = []
+        real = gg.CayleyGroup.closure
+
+        def closure(self, seed):
+            calls.append(seed)
+            return real(self, seed)
+
+        monkeypatch.setattr(gg.CayleyGroup, "closure", closure)
+        subs = gg.subgroups(group)
+        coset_calls = len(calls)
+        calls.clear()
+        reference_subgroups(group)
+        # the cyclic seeds, then each nontrivial s once per coset other than s
+        n = group.order
+        nontrivial = [s.order for s in subs[1:]]
+        assert coset_calls == n + sum(n // k - 1 for k in nontrivial) == 229
+        assert len(calls) == n + sum(n - k for k in nontrivial) == 1159
 
 
 class TestAutomorphismsBruteforce:

@@ -93,6 +93,14 @@ class TestFactorize:
         assert factorize(12).pairs == ((2, 2), (3, 1))
         assert factorize(5040).pairs == ((2, 4), (3, 2), (5, 1), (7, 1))
 
+    def test_refuses_cofactor_just_above_psi12(self):
+        # no prime factor below the trial bound, so the whole n is the
+        # cofactor, and it lies above psi_12 = 318665857834031151167461
+        n = 318665858555474547773473
+        assert n == 133873 * 1542841351**2
+        with pytest.raises(BoundExceededError, match="certified range"):
+            factorize(n)
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_and_primality(self, n):
         fact = factorize(n)

@@ -32,6 +32,14 @@ def prime_powers(draw):
 semiprimes = st.tuples(primes_20_31, primes_20_31).map(math.prod)
 
 
+@st.composite
+def multiples_of_semiprimes(draw):
+    """k * s for a semiprime s and 1 <= k <= 10^6, with k capped so that
+    the product stays below psi_12."""
+    s = draw(semiprimes)
+    return s * draw(st.integers(min_value=1, max_value=min(10**6, (PSI_12 - 1) // s)))
+
+
 below_psi12 = st.one_of(
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=0, max_value=PSI_12 - 1),
@@ -52,7 +60,7 @@ def test_is_prime_matches_sympy(n):
         st.integers(min_value=1, max_value=10**12),
         prime_powers(),
         semiprimes,
-        st.tuples(st.integers(min_value=1, max_value=10**6), semiprimes).map(math.prod),
+        multiples_of_semiprimes(),
     )
 )
 def test_factorize_matches_sympy(n):
