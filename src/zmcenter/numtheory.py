@@ -25,9 +25,27 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _PSI_12 = 318665857834031151167461
 
-# factorize divides by every d <= _TRIAL_BOUND on the wheel and hands the
+# factorize divides by every prime up to _TRIAL_BOUND and hands the
 # cofactor left over to Pollard-Brent rho
 _TRIAL_BOUND = 1 << 10
+
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i in range(n) if sieve[i]]
+
+
+# the 172 primes up to _TRIAL_BOUND, and the least prime above it, 1031
+# (Bertrand's postulate puts one below twice the bound)
+_TRIAL_PRIMES = tuple(_primes_below(_TRIAL_BOUND + 1))
+_NEXT_PRIME = next(
+    k for k in range(_TRIAL_BOUND + 1, 2 * _TRIAL_BOUND) if all(k % p for p in _TRIAL_PRIMES)
+)
 
 # rho multiplies this many differences together before taking one gcd
 _RHO_BATCH = 128
@@ -92,32 +110,30 @@ def factorize(n: int) -> Factorization:
     """Complete prime factorization of 1 <= n, for n whose cofactors stay
     below psi_12.
 
-    Trial division on the 6k+-1 wheel up to `_TRIAL_BOUND` first; a
-    cofactor below the square of the next trial divisor has no smaller
-    factor and is prime.  Any other cofactor goes through `is_prime`, and a
-    composite one is split by Pollard-Brent rho until every part passes
-    `is_prime`.  A cofactor at or above psi_12 cannot be certified and
-    raises BoundExceededError.
+    Trial division by the primes up to `_TRIAL_BOUND` first, stopping early
+    once p * p > n.  A cofactor below 1031^2 (1031 = `_NEXT_PRIME`, the
+    least prime above the bound) then has no smaller factor and is prime.
+    Any other cofactor goes through `is_prime`, and a composite one is
+    split by Pollard-Brent rho until every part passes `is_prime`.  A
+    cofactor at or above psi_12 cannot be certified and raises
+    BoundExceededError.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     counts: dict[int, int] = {}
-    for p in (2, 3):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             n //= p
             counts[p] = counts.get(p, 0) + 1
-    # remaining factors are coprime to 6: walk the 6k+-1 wheel
-    d = 5
-    step = 2
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
-            n //= d
-            counts[d] = counts.get(d, 0) + 1
-        d += step
-        step = 6 - step
-    if n > 1 and d * d > n:
-        counts[n] = counts.get(n, 0) + 1
-    elif n > 1:
+    # the loop stopped at p * p > n with every prime below p divided out,
+    # or divided out every prime below _NEXT_PRIME: either way a cofactor
+    # below _NEXT_PRIME^2 is 1 or prime
+    if n < _NEXT_PRIME * _NEXT_PRIME:
+        if n > 1:
+            counts[n] = 1
+    else:
         # only primes above _TRIAL_BOUND are left: certify or split by rho
         pending = [n]
         while pending:

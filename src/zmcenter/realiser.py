@@ -39,7 +39,7 @@ from .numtheory import (
     is_prime,
     multiplicative_order,
 )
-from .zm import ZmTriple, validate_triple
+from .zm import ZmTriple, check_presentation, validate_triple
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,13 @@ class RealiserCertificate:
         return cls.from_json_dict(json.loads(text))
 
 
-def _check_decomposition(cert: RealiserCertificate) -> None:
-    """The factors must be the prime powers of N in ascending q."""
-    expected = factorize(cert.N).pairs
+def _check_decomposition(
+    cert: RealiserCertificate, expected: tuple[tuple[int, int], ...] | None = None
+) -> None:
+    """The factors must be the prime powers of N in ascending q; `expected`
+    is `factorize(cert.N).pairs` when the caller already holds it."""
+    if expected is None:
+        expected = factorize(cert.N).pairs
     got = tuple((f.q, f.alpha) for f in cert.factors)
     if got != expected:
         raise CertificateError(
@@ -111,11 +115,21 @@ def _check_decomposition(cert: RealiserCertificate) -> None:
         )
 
 
-def validate_certificate(cert: RealiserCertificate) -> None:
-    """Recheck every structural invariant; raises CertificateError."""
+def validate_certificate(
+    cert: RealiserCertificate, decomposition: tuple[tuple[int, int], ...] | None = None
+) -> None:
+    """Recheck every structural invariant; raises CertificateError, or
+    TripleError for a bad factor presentation.
+
+    `decomposition` is `factorize(cert.N).pairs` when the caller has just
+    computed it (`realise` does); without it N is factored here, so a
+    loaded certificate is checked from scratch.  Each factor's presentation
+    ZM(p, q^(2 alpha), r) is checked without computing ord_p(r), which the
+    two modular powers before it have already proven to be q^alpha.
+    """
     if cert.N < 1:
         raise CertificateError(f"N must be >= 1, got {cert.N}")
-    _check_decomposition(cert)
+    _check_decomposition(cert, decomposition)
     qs = {f.q for f in cert.factors}
     ps = [f.p for f in cert.factors]
     if len(set(ps)) != len(ps):
@@ -134,7 +148,7 @@ def validate_certificate(cert: RealiserCertificate) -> None:
                 f"order of {f.r} mod {f.p} is {multiplicative_order(f.r, f.p)}, "
                 f"expected {f.q_pow}"
             )
-        f.triple()  # raises TripleError if the induced presentation is bad
+        check_presentation(f.p, f.q ** (2 * f.alpha), f.r)
     orders = [f.p * f.q ** (2 * f.alpha) for f in cert.factors]
     for i in range(len(orders)):
         for j in range(i + 1, len(orders)):
@@ -159,7 +173,7 @@ def realise(N: int, prime_budget: int = DEFAULT_BOUNDS.prime_budget) -> Realiser
         exclusions.add(p)
         factors.append(FactorWitness(q=q, alpha=alpha, p=p, r=find_element_of_order(p, q_pow)))
     cert = RealiserCertificate(N=N, factors=tuple(factors))
-    validate_certificate(cert)
+    validate_certificate(cert, decomposition)
     return cert
 
 

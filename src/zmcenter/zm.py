@@ -153,13 +153,15 @@ def _label(g: ZmElement) -> str:
     return " ".join(parts)
 
 
-def validate_triple(m: int, n: int, r: int) -> ZmTriple:
-    """Check the presentation conditions and return the normalized triple."""
+def check_presentation(m: int, n: int, r: int) -> int:
+    """Raise TripleError unless (m, n, r) satisfies the presentation
+    conditions; return r reduced mod m (1 when m = 1).  Does not compute
+    the order of r."""
     if m < 1 or n < 1 or r < 1:
         raise TripleError("range", f"need m, n, r >= 1, got ({m},{n},{r})")
     if m == 1:
         # degenerate cyclic case: relations are vacuous, conventionally r = 1
-        return ZmTriple(m=1, n=n, r=1, d=1)
+        return 1
     r %= m
     g = math.gcd(m, n)
     if g != 1:
@@ -169,6 +171,12 @@ def validate_triple(m: int, n: int, r: int) -> ZmTriple:
         raise TripleError("gcd_m_rminus1", f"gcd(m,r-1) = {g} != 1 for ({m},{n},{r})")
     if pow(r, n, m) != 1:
         raise TripleError("order", f"r^n = {pow(r, n, m)} != 1 (mod {m}) for ({m},{n},{r})")
+    return r
+
+
+def validate_triple(m: int, n: int, r: int) -> ZmTriple:
+    """Check the presentation conditions and return the normalized triple."""
+    r = check_presentation(m, n, r)
     return ZmTriple(m=m, n=n, r=r, d=multiplicative_order(r, m))
 
 

@@ -102,20 +102,32 @@ class TestRealise:
 
     def test_certificate_check_does_not_factor_again(self, capsys, monkeypatch):
         calls = []
-        real = numtheory.factorize
+        orders = []
+        real_factorize = numtheory.factorize
+        real_order = numtheory.multiplicative_order
 
         def factorize(n, *args, **kwargs):
             calls.append(n)
-            return real(n, *args, **kwargs)
+            return real_factorize(n, *args, **kwargs)
+
+        def multiplicative_order(*args, **kwargs):
+            orders.append(args)
+            return real_order(*args, **kwargs)
 
         for module in (numtheory, realiser, zm):
             monkeypatch.setattr(module, "factorize", factorize)
+            monkeypatch.setattr(module, "multiplicative_order", multiplicative_order)
         code, out, _ = run(capsys, "realise", "18809838571", "--json")
         assert code == 0
         assert json.loads(out)["N"] == 18809838571
-        # the check of ord_p(r) = q^alpha factors neither p nor p - 1, and
-        # validating a factor triple does not factor m for phi(m)
-        assert len(calls) == 10
+        # N = 37619 * 500009 is factored once, and the certificate check
+        # reuses that decomposition; each of the two factors then factors
+        # q^alpha once in the prime-power guard of each search.  The check
+        # of ord_p(r) = q^alpha and of the factor presentations computes no
+        # order, so it factors neither p nor p - 1
+        assert len(calls) == 5
+        assert calls.count(18809838571) == 1
+        assert orders == []
 
 
 class TestVerify:

@@ -160,6 +160,32 @@ class TestFactorize:
             factorize(6 * (2**79 - 1))
         assert factorize(2**100).pairs == ((2, 100),)
 
+    def test_trial_primes_are_the_primes_up_to_the_bound(self):
+        bound = numtheory._TRIAL_BOUND
+        assert numtheory._TRIAL_PRIMES == tuple(
+            n for n in range(bound + 1) if _trial_division_prime(n)
+        )
+        assert len(numtheory._TRIAL_PRIMES) == 172
+        shortcut = numtheory._NEXT_PRIME
+        assert shortcut > bound and _trial_division_prime(shortcut)
+        assert not any(_trial_division_prime(n) for n in range(bound + 1, shortcut))
+
+    def test_matches_reference_around_the_trial_bound(self):
+        # 1021 is the largest trial prime and 1031 = _NEXT_PRIME the least
+        # prime above the bound; 1000003 and 10^12 + 39 are primes beyond it
+        for n in (
+            1021,
+            1031,
+            1021 * 1031,
+            1021**2,
+            1031**2,
+            1031**3,
+            2**40 * 1031,
+            1021 * 1000003,
+            1031 * (10**12 + 39),
+        ):
+            assert factorize(n) == reference_factorize(n), n
+
     def test_divisors(self):
         assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
         assert factorize(1).divisors() == [1]

@@ -9,7 +9,7 @@ import pytest
 from slow_reference import reference_verify_forward
 from zmcenter import abscenter, cli, genericgroup, realiser
 from zmcenter.config import Bounds
-from zmcenter.errors import BoundExceededError, CertificateError
+from zmcenter.errors import BoundExceededError, CertificateError, TripleError
 from zmcenter.numtheory import factorize
 from zmcenter.zm import ZmTriple
 
@@ -81,6 +81,27 @@ class TestCertificateValidation:
         bad = realiser.FactorWitness(q=2, alpha=2, p=5, r=4)  # o_5(4) = 2, not 4
         with pytest.raises(CertificateError):
             realiser.validate_certificate(realiser.RealiserCertificate(N=4, factors=(bad,)))
+
+    def test_negative_r_presentation_rejected(self):
+        # -1 has order 2 mod 3, so only the range check of the factor
+        # presentation ZM(3, 4, -1) rejects this witness
+        bad = realiser.FactorWitness(q=2, alpha=1, p=3, r=-1)
+        with pytest.raises(TripleError, match=r"need m, n, r >= 1, got \(3,4,-1\)") as exc:
+            realiser.validate_certificate(realiser.RealiserCertificate(N=2, factors=(bad,)))
+        assert exc.value.reason == "range"
+
+    def test_r_at_least_p_accepted(self):
+        # r = 5 reduces to 2 mod 3, and ZM(3, 4, 2) is a valid presentation
+        good = realiser.FactorWitness(q=2, alpha=1, p=3, r=5)
+        realiser.validate_certificate(realiser.RealiserCertificate(N=2, factors=(good,)))
+
+    def test_loaded_certificate_factors_its_own_n(self):
+        # the decomposition realise hands to the check is not reused on load:
+        # a document whose N no longer matches its factors is refused
+        doc = realiser.realise(4).as_json_dict()
+        doc["N"] = 8
+        with pytest.raises(CertificateError, match="do not match the decomposition"):
+            realiser.RealiserCertificate.from_json_dict(doc)
 
     def test_json_roundtrip(self):
         for n in (1, 4, 12, 30):
