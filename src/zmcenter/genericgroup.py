@@ -28,27 +28,21 @@ from .errors import BoundExceededError
 
 @dataclass(frozen=True)
 class CayleyGroup:
-    order: int
     table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
     identity_index: int
 
+    @property
+    def order(self) -> int:
+        return len(self.table)
+
     @classmethod
-    def from_table(
-        cls, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...] | None = None
-    ) -> "CayleyGroup":
-        n = len(table)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        ident = _find_identity(table)
-        group = cls(order=n, table=table, labels=labels, identity_index=ident)
+    def from_table(cls, table: tuple[tuple[int, ...], ...]) -> "CayleyGroup":
+        group = cls(table, _find_identity(table))
         group._validate()
         return group
 
     def _validate(self) -> None:
         n = self.order
-        if len(self.labels) != n:
-            raise ValueError("label count does not match order")
         full = frozenset(range(n))
         for i, row in enumerate(self.table):
             if len(row) != n or frozenset(row) != full:
@@ -74,9 +68,6 @@ class CayleyGroup:
                     raise ValueError(f"associativity fails at ({x},{a},{y})")
 
     # -- basic arithmetic ----------------------------------------------------
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
     def inverse(self, i: int) -> int:
         return self.table[i].index(self.identity_index)
@@ -167,8 +158,7 @@ class Subgroup:
             tuple(old_to_new[self.parent.table[x][y]] for y in self.members)
             for x in self.members
         )
-        labels = tuple(self.parent.labels[g] for g in self.members)
-        return CayleyGroup.from_table(table, labels)
+        return CayleyGroup.from_table(table)
 
 
 def cyclic_group(k: int) -> CayleyGroup:
@@ -176,8 +166,7 @@ def cyclic_group(k: int) -> CayleyGroup:
     if k < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {k}")
     table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-    labels = tuple("e" if i == 0 else f"g^{i}" for i in range(k))
-    return CayleyGroup.from_table(table, labels)
+    return CayleyGroup.from_table(table)
 
 
 def direct_product(
@@ -194,7 +183,7 @@ def direct_product(
         raise BoundExceededError(f"product order {order} > table bound {table_bound}")
     # the parts of every index in index order: factor-major, so the first
     # factor varies slowest
-    index_parts = list(product(*(range(g.order) for g in factors)))
+    index_parts = product(*(range(g.order) for g in factors))
 
     def row(parts: tuple[int, ...]) -> tuple[int, ...]:
         # entry j is the index of the parts z_f = f.table[i_f][j_f], in
@@ -207,11 +196,7 @@ def direct_product(
         return tuple(out)
 
     table = tuple(row(parts) for parts in index_parts)
-    labels = tuple(
-        "(" + ",".join(f.labels[p] for f, p in zip(factors, parts)) + ")"
-        for parts in index_parts
-    )
-    return CayleyGroup.from_table(table, labels)
+    return CayleyGroup.from_table(table)
 
 
 def subgroups(

@@ -108,14 +108,7 @@ class ZmTriple:
         """(generator, order) of the center <b^d>."""
         return self.element(self.d, 0), self.n // self.d
 
-    # -- caches for the table-driven paths (bounded sizes only) -------------
-
-    @cached_property
-    def _rpow(self) -> tuple[int, ...]:
-        out = [1 % self.m]
-        for _ in range(self.n - 1):
-            out.append(out[-1] * self.r % self.m)
-        return tuple(out)
+    # -- the table-driven paths (bounded sizes only) ------------------------
 
     def check_table_bound(self, table_bound: int = DEFAULT_BOUNDS.table) -> None:
         """Raise BoundExceededError if the Cayley table would exceed the bound."""
@@ -128,8 +121,7 @@ class ZmTriple:
         """Explicit multiplication table over all m*n elements, u-major."""
         self.check_table_bound(table_bound)
         m, n = self.m, self.n
-        rpow = self._rpow
-        labels = tuple(_label(g) for g in self.elements())
+        rpow = [pow(self.r, s, m) for s in range(n)]
         table = tuple(
             tuple(
                 ((u + s) % n) * m + (v * rpow[s] + w) % m
@@ -139,18 +131,7 @@ class ZmTriple:
             for u in range(n)
             for v in range(m)
         )
-        return genericgroup.CayleyGroup.from_table(table, labels)
-
-
-def _label(g: ZmElement) -> str:
-    if g.u == 0 and g.v == 0:
-        return "e"
-    parts = []
-    if g.u:
-        parts.append(f"b^{g.u}" if g.u > 1 else "b")
-    if g.v:
-        parts.append(f"a^{g.v}" if g.v > 1 else "a")
-    return " ".join(parts)
+        return genericgroup.CayleyGroup.from_table(table)
 
 
 def check_presentation(m: int, n: int, r: int) -> int:
@@ -180,12 +161,9 @@ def validate_triple(m: int, n: int, r: int) -> ZmTriple:
     return ZmTriple(m=m, n=n, r=r, d=multiplicative_order(r, m))
 
 
-def iter_valid_triples(
-    max_order: int, guaranteed_only: bool = False
-) -> Iterator[ZmTriple]:
+def iter_valid_triples(max_order: int) -> Iterator[ZmTriple]:
     """All valid triples with m > 1 and m*n <= max_order, in a fixed
-    deterministic order; optionally only those in the guaranteed regime
-    (every prime of n divides d)."""
+    deterministic order."""
     for m in range(3, max_order // 2 + 1):
         for r in range(2, m):
             if math.gcd(r, m) != 1 or math.gcd(r - 1, m) != 1:
@@ -194,7 +172,4 @@ def iter_valid_triples(
             for n in range(d, max_order // m + 1, d):
                 if math.gcd(m, n) != 1:
                     continue
-                t = ZmTriple(m=m, n=n, r=r, d=d)
-                if guaranteed_only and not t.regime_guaranteed:
-                    continue
-                yield t
+                yield ZmTriple(m=m, n=n, r=r, d=d)

@@ -355,11 +355,7 @@ def reference_direct_product(factors: list[CayleyGroup]) -> CayleyGroup:
         )
         for i in range(order)
     )
-    labels = tuple(
-        "(" + ",".join(f.labels[p] for f, p in zip(factors, split(i))) + ")"
-        for i in range(order)
-    )
-    return CayleyGroup.from_table(table, labels)
+    return CayleyGroup.from_table(table)
 
 
 def reference_element_orders(group: CayleyGroup) -> tuple[int, ...]:

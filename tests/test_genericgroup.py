@@ -164,7 +164,7 @@ class TestAssociativityCheck:
         assert True in verdicts and False in verdicts
 
     def test_loop_failing_on_the_second_generator_only(self):
-        unchecked = gg.CayleyGroup(6, LOOP_6, tuple("abcdef"), 0)
+        unchecked = gg.CayleyGroup(LOOP_6, 0)
         assert unchecked.generating_sequence == (3, 1)
 
         def light_passes(a: int) -> bool:
@@ -232,7 +232,6 @@ class TestDirectProduct:
         prod = gg.direct_product(groups)
         ref = reference_direct_product(groups)
         assert prod.table == ref.table
-        assert prod.labels == ref.labels
         assert prod.identity_index == ref.identity_index
 
 
@@ -266,7 +265,7 @@ class TestSubgroups:
             for x in s.members:
                 assert group.inverse(x) in members
                 for y in s.members:
-                    assert group.mul(x, y) in members
+                    assert group.table[x][y] in members
             assert group.order % s.order == 0  # Lagrange
         assert subs[0].order == 1
         assert subs[-1].order == group.order
@@ -373,7 +372,7 @@ class TestScansMatchReference:
         for group in _reference_groups():
             for table in [group, *(s.as_group() for s in gg.subgroups(group))]:
                 fast = gg.automorphisms_bruteforce(table)
-                assert fast == reference_automorphisms_bruteforce(table), table.labels
+                assert fast == reference_automorphisms_bruteforce(table)
                 checked += 1
         assert checked > 1000
 
@@ -431,7 +430,7 @@ class TestAutomorphismsBruteforce:
             for i in range(group.order):
                 assert group.element_orders[perm[i]] == group.element_orders[i]
                 for j in range(group.order):
-                    assert perm[group.mul(i, j)] == group.mul(perm[i], perm[j])
+                    assert perm[group.table[i][j]] == group.table[perm[i]][perm[j]]
 
     def test_bound_enforced(self, zm_5_16_2):
         with pytest.raises(BoundExceededError):
@@ -489,7 +488,7 @@ class TestNormalSubgroupsAreCharacteristic:
             for sub in gg.subgroups(group):
                 members = set(sub.members)
                 normal = all(
-                    group.mul(group.mul(g, x), group.inverse(g)) in members
+                    group.table[group.table[g][x]][group.inverse(g)] in members
                     for g in range(group.order)
                     for x in sub.members
                 )

@@ -182,7 +182,17 @@ class TestCayleyExport:
         group = zm_5_16_2.cayley()
         assert group.order == 80
         assert group.identity_index == 0
-        assert group.labels[zm_5_16_2.index_of(ZmElement(4, 0))] == "b^4"
+
+    def test_table_indices_are_the_u_major_normal_forms(self, small_triples):
+        # aut.to_permutation and oracle-check's brute-force comparison
+        # read table indices as index_of of the normal forms
+        for t in small_triples:
+            group = t.cayley()
+            elems = list(t.elements())
+            assert [t.index_of(g) for g in elems] == list(range(t.order))
+            for g, h in product(elems, repeat=2):
+                assert group.table[t.index_of(g)][t.index_of(h)] == t.index_of(t.multiply(g, h))
+            assert group.identity_index == t.index_of(t.identity)
 
     def test_order_20_is_nonabelian_with_trivial_center(self, zm_5_4_2):
         # the distinguishing invariants of the Frobenius group of order 20
@@ -210,7 +220,3 @@ class TestIterValidTriples:
             seen.add(key)
         assert (5, 16, 2) in seen
         assert (7, 6, 2) in seen
-
-    def test_guaranteed_filter(self):
-        for t in iter_valid_triples(100, guaranteed_only=True):
-            assert all(t.d % p == 0 for p, _ in factorize(t.n).pairs)
