@@ -1,5 +1,5 @@
 """Explicit small finite groups: Cayley tables, direct products, subgroup
-enumeration, and brute-force automorphism groups.
+enumeration, and table automorphisms.
 
 This is the independent ground truth for every closed formula in the
 package, so construction is paranoid: tables are checked to be Latin
@@ -8,10 +8,12 @@ Light's test on a generating set.
 
 The two scans do less work for the same answers.  `subgroups` extends a
 known subgroup s by one element per right coset s*g, since
-<s, h*g> = <s, g> for every h in s.  `automorphisms_bruteforce` extends
-a partial map one generator at a time and checks each (element,
-generator) pair once: the pairs already checked stay consistent, because
-the map only grows.
+<s, h*g> = <s, g> for every h in s.  `automorphism_generators` is the one
+automorphism search: a stabiliser-chain backtrack that returns a
+generating set of Aut, pruned by the orbits of the generators it has
+found.  An absolute center is the set of points those generators fix;
+`automorphisms_bruteforce` closes them in Sym(n) for the callers that
+need every automorphism, such as `oracle-check`.
 """
 
 from __future__ import annotations
@@ -244,34 +246,63 @@ def subgroups(
     return out
 
 
-def automorphisms_bruteforce(
+def automorphism_generators(
     group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
 ) -> list[tuple[int, ...]]:
-    """All table-preserving bijections, as index permutations (sorted).
+    """A generating set of the table's automorphism group, as index
+    permutations; empty when the group has no automorphism but the identity.
 
-    Backtracks on the images of the greedy generating sequence g_1, g_2,
-    ...; any clash of images, or a repeated image, prunes the branch.
-    Invariant on entering level k: `reached` is <g_1, ..., g_k-1>, phi is
-    defined exactly there, injective, and phi(x*g) = phi(x)*phi(g) for
-    every x in `reached` and every assigned g.  Giving g_k an image keeps
-    those pairs checked, so only the old elements are checked against
-    g_k, and then each newly reached element against every assigned
-    generator: each (element, generator) pair is checked once per node.
-    The new `reached` is closed under right multiplication by g_1..g_k,
-    so it is <g_1, ..., g_k>.  At the last level it is the whole group,
-    and the checked pairs are enough: induction over words in the
-    generators extends phi(x*g) = phi(x)phi(g) to all pairs.
+    This is a stabiliser-chain backtrack with orbit pruning, after McKay's
+    "Practical graph isomorphism" (1981) and Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory (2005), ch. 4.  Let g_1, ...,
+    g_s be `generating_sequence`, and let A_k be the automorphisms that fix
+    g_1, ..., g_(k-1); an automorphism is fixed by its images of the g_i,
+    so Aut = A_1 >= A_2 >= ... >= A_(s+1) = 1.  The levels run from k = s
+    down to 1.  At level k, phi is the identity on H = <g_1, ..., g_(k-1)>,
+    and each image x of g_k of the same order outside H is tried (an
+    automorphism fixing H pointwise maps H onto H, so g_k cannot land in
+    it).  x is skipped if it lies in the orbit of g_k, or of an image that
+    already failed, under the generators found so far.  Otherwise the
+    deeper generators g_(k+1), ..., g_s are searched for one completion,
+    and each completion is a new generator.
+
+    1. A point fixed by a generating set is fixed by the whole group: the
+       permutations that fix it form a subgroup.
+    2. Every generator found by level k lies in A_k.  After level k, the
+       A_k-orbit of g_k equals its orbit under them: an x of that orbit is
+       skipped only when it is already in the orbit of g_k (it never fails,
+       by 3), and otherwise its search succeeds and adds a generator that
+       maps g_k to x.  So for alpha in A_k some beta in <found> agrees with
+       alpha on g_k, and beta^-1 alpha lies in A_(k+1), which the
+       generators of the deeper levels generate, by induction from
+       A_(s+1) = 1.  The found set is a strong generating set, and it
+       generates A_1 = Aut.
+    3. Failed-orbit skip: suppose sigma in <found>, a subgroup of A_k, maps
+       x to x', and some tau in A_k maps g_k to x'.  Then sigma^-1 tau in
+       A_k maps g_k to x.  So if x fails, x' fails too.
+    4. Each new generator maps g_k outside the orbit of g_k under <found>,
+       so it strictly enlarges <found> and at least doubles its order.  So
+       2^|found| <= |Aut|.
+
+    A completion extends phi one generator at a time.  Invariant on
+    entering level k: `reached` is <g_1, ..., g_k-1>, phi is defined
+    exactly there, injective, and phi(x*g) = phi(x)*phi(g) for every x in
+    `reached` and every assigned g.  Giving g_k an image keeps those pairs
+    checked, so only the old elements are checked against g_k, and then
+    each newly reached element against every assigned generator: each
+    (element, generator) pair is checked once per node.  The new `reached`
+    is closed under right multiplication by g_1..g_k, so it is
+    <g_1, ..., g_k>.  At the last level it is the whole group, and the
+    checked pairs are enough: induction over words in the generators
+    extends phi(x*g) = phi(x)phi(g) to all pairs.
     """
     n = group.order
     if n > aut_bound:
         raise BoundExceededError(f"order {n} > automorphism bound {aut_bound}")
-    if n == 1:
-        return [(0,)]
     gens = group.generating_sequence
     orders = group.element_orders
     table = group.table
     ident = group.identity_index
-    found: list[tuple[int, ...]] = []
     phi = [-1] * n
     phi[ident] = ident
     used = [False] * n  # used[w]: w is already some phi(x)
@@ -312,38 +343,106 @@ def automorphisms_bruteforce(
                     return False
         return True
 
-    def backtrack(level: int, reached: list[int]) -> None:
+    def undo(assigned: list[int]) -> None:
+        for z in assigned:
+            used[phi[z]] = False
+            phi[z] = -1
+
+    def attempt(level: int, reached: list[int], img: int) -> tuple[int, ...] | None:
+        """One automorphism that extends phi by gens[level] -> img, or None."""
+        g = gens[level]
+        phi[g] = img
+        used[img] = True
+        fresh = [g]
+        tau = None
+        if extend(reached, level, fresh):
+            tau = complete(level + 1, reached + fresh)
+        undo(fresh)
+        return tau
+
+    def complete(level: int, reached: list[int]) -> tuple[int, ...] | None:
         if level == len(gens):
-            found.append(tuple(phi))
-            return
+            return tuple(phi)
         g = gens[level]
         for img in range(n):
-            if used[img] or orders[img] != orders[g]:
-                continue
-            phi[g] = img
-            used[img] = True
-            fresh = [g]
-            if extend(reached, level, fresh):
-                backtrack(level + 1, reached + fresh)
-            for z in fresh:  # undo
-                used[phi[z]] = False
-                phi[z] = -1
+            if not used[img] and orders[img] == orders[g]:
+                tau = attempt(level, reached, img)
+                if tau is not None:
+                    return tau
+        return None
 
-    backtrack(0, [ident])
-    found.sort()
+    # the identity, one level at a time: layers[k] is what g_k+1 adds to
+    # <g_1, ..., g_k>; peeling the layers off from the deepest leaves phi
+    # the identity on exactly the prefix each level needs
+    layers = []
+    reached = [ident]
+    for level, g in enumerate(gens):
+        phi[g] = g
+        used[g] = True
+        fresh = [g]
+        extend(reached, level, fresh)
+        layers.append(fresh)
+        reached += fresh
+
+    found: list[tuple[int, ...]] = []
+    moves = []  # x -> tau(x) for each tau in found
+    for level in reversed(range(len(gens))):
+        undo(layers[level])
+        reached = [ident, *(x for layer in layers[:level] for x in layer)]
+        g = gens[level]
+        skip = _reach({g}, moves)
+        for img in range(n):
+            if img in skip or used[img] or orders[img] != orders[g]:
+                continue
+            tau = attempt(level, reached, img)
+            if tau is None:
+                skip |= _reach({img}, moves)
+            else:
+                found.append(tau)
+                moves.append(tau.__getitem__)
+                skip = _reach(skip, moves)
     return found
+
+
+def _reach(start: set, maps: list) -> set:
+    """Everything the maps reach from the start, the start included.  When
+    the maps are permutations of a finite set, that is the orbit of the
+    start under the group they generate: each inverse is a positive power."""
+    out = set(start)
+    queue = list(out)
+    while queue:
+        x = queue.pop()
+        for f in maps:
+            y = f(x)
+            if y not in out:
+                out.add(y)
+                queue.append(y)
+    return out
+
+
+def automorphisms_bruteforce(
+    group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
+) -> list[tuple[int, ...]]:
+    """Every table automorphism, as index permutations (sorted): the
+    closure of `automorphism_generators` in Sym(n), for callers that need
+    the whole list, such as `oracle-check`'s comparison with the
+    parametrised family."""
+    gens = automorphism_generators(group, aut_bound)
+    # itemgetter(*tau) maps p to p after tau
+    return sorted(_reach({tuple(range(group.order))}, [itemgetter(*tau) for tau in gens]))
 
 
 def absolute_center_bruteforce(
     group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
 ) -> Subgroup:
-    """Elements fixed by every automorphism of the table."""
-    return fixed_subgroup(group, automorphisms_bruteforce(group, aut_bound))
+    """Elements fixed by every automorphism of the table, that is, by each
+    of `automorphism_generators`."""
+    return fixed_subgroup(group, automorphism_generators(group, aut_bound))
 
 
 def fixed_subgroup(group: CayleyGroup, perms: list[tuple[int, ...]]) -> Subgroup:
-    """Elements fixed by every permutation in perms, e.g. the automorphisms
-    `automorphisms_bruteforce` returned."""
+    """Elements fixed by every permutation in perms, e.g. the generators
+    `automorphism_generators` returned."""
     fixed = [i for i in range(group.order) if all(p[i] == i for p in perms)]
     return Subgroup(group, tuple(fixed))
 

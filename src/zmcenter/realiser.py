@@ -19,7 +19,8 @@ Verification:
     subgroup's brute-force absolute center must be cyclic of order dividing
     q^a.  On top of that, when the full product itself fits the bounds, its
     subgroups are scanned directly.  All factor bounds are checked before
-    any Cayley table is built, so a refusal costs no scan.
+    any Cayley table or forward comparison, so a refusal costs no scan and no
+    forward comparison.
 """
 
 from __future__ import annotations
@@ -364,6 +365,20 @@ def _scan_subgroups(
     return tuple(rows)
 
 
+def _scan_triples(cert: RealiserCertificate, bounds: Bounds) -> list[ZmTriple]:
+    """The factor triples, each checked against the table bound and then
+    the scan bounds; raises BoundExceededError for the first that fails."""
+    triples = cert.triples()
+    for t in triples:
+        t.check_table_bound(bounds.table)
+        if t.order > bounds.subgroups or t.order > bounds.aut:
+            raise BoundExceededError(
+                f"factor {t} of order {t.order} exceeds the scan bounds "
+                f"(subgroups {bounds.subgroups}, aut {bounds.aut})"
+            )
+    return triples
+
+
 def verify_converse(
     cert: RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[tuple[ConverseFactorRow, ...], FullProductRow | None]:
@@ -381,15 +396,7 @@ def verify_converse(
     brute force on the same group against the same target.  Nothing the
     check looks at is skipped.
     """
-    triples = [f.triple() for f in cert.factors]
-    for t in triples:
-        t.check_table_bound(bounds.table)
-        if t.order > bounds.subgroups or t.order > bounds.aut:
-            raise BoundExceededError(
-                f"factor {t} of order {t.order} exceeds the scan bounds "
-                f"(subgroups {bounds.subgroups}, aut {bounds.aut})"
-            )
-
+    triples = _scan_triples(cert, bounds)
     groups = [t.cayley(bounds.table) for t in triples]
     factor_rows = []
     for i, (f, t, group) in enumerate(zip(cert.factors, triples, groups)):
@@ -434,6 +441,13 @@ def verify(
     converse: bool = False,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> VerificationReport:
+    """Forward verification, and the converse one when asked.  A converse
+    refusal comes before any forward comparison, but after the
+    decomposition check, so a malformed certificate still raises
+    CertificateError."""
+    if converse:
+        _check_decomposition(cert)
+        _scan_triples(cert, bounds)
     forward = verify_forward(cert, bounds)
     converse_rows: tuple[ConverseFactorRow, ...] | None = None
     full_row: FullProductRow | None = None

@@ -68,3 +68,62 @@ def center_bruteforce(group: CayleyGroup) -> Subgroup:
         i for i in range(n) if all(table[i][j] == table[j][i] for j in range(n))
     ]
     return Subgroup(group, tuple(members))
+
+
+def _generated_table(generators: list, multiply) -> CayleyGroup:
+    """The Cayley table of the finite group the generators generate under
+    multiply, its elements numbered in the order a right-multiplication
+    search from the generators reaches them."""
+    elements = list(dict.fromkeys(generators))
+    index = {x: i for i, x in enumerate(elements)}
+    for x in elements:  # the loop also visits the elements it appends
+        for g in generators:
+            y = multiply(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    table = tuple(tuple(index[multiply(x, y)] for y in elements) for x in elements)
+    return CayleyGroup.from_table(table)
+
+
+def permutation_group(generators: list[tuple[int, ...]]) -> CayleyGroup:
+    """The group the permutations generate, composed as p*q = p after q."""
+    return _generated_table(generators, lambda p, q: tuple(p[i] for i in q))
+
+
+def matrix_group(generators: list[tuple[int, int, int, int]], k: int) -> CayleyGroup:
+    """The group the 2x2 matrices (a, b, c, d) = [[a, b], [c, d]] generate
+    mod k."""
+
+    def multiply(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % k, (a * f + b * h) % k, (c * e + d * g) % k, (c * f + d * h) % k)
+
+    return _generated_table(generators, multiply)
+
+
+def _psl27_generators() -> list[tuple[int, ...]]:
+    """x -> x + 1 and x -> -1/x on the projective line over F_7, whose
+    points are 0..6 and infinity = 7."""
+    shift = tuple((x + 1) % 7 for x in range(7)) + (7,)
+    invert = (7, *((-pow(x, -1, 7)) % 7 for x in range(1, 7)), 0)
+    return [shift, invert]
+
+
+# S4, A4, S3 x S3, D5, A5, S5, SL(2,3), GL(2,3) and PSL(2,7), built from
+# permutations and matrices.  All but D5 = ZM(5,2,4) lie outside the ZM
+# family, whose Sylow subgroups are cyclic.
+NAMED_GROUPS = {
+    "S4": lambda: permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)]),
+    "A4": lambda: permutation_group([(1, 2, 0, 3), (1, 0, 3, 2)]),
+    "S3xS3": lambda: permutation_group(
+        [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)]
+    ),
+    "D5": lambda: permutation_group([(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)]),
+    "A5": lambda: permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
+    "S5": lambda: permutation_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+    "SL(2,3)": lambda: matrix_group([(1, 1, 0, 1), (1, 0, 1, 1)], 3),
+    "GL(2,3)": lambda: matrix_group([(1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)], 3),
+    "PSL(2,7)": lambda: permutation_group(_psl27_generators()),
+}

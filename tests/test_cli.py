@@ -144,6 +144,23 @@ class TestVerify:
         assert doc["pass"] is True
         assert doc["converse_results"] is not None
 
+    def test_converse_lists_no_automorphism_group(self, capsys, monkeypatch):
+        # the scans read L off a generating set of each Aut; only
+        # oracle-check closes one into the full list
+        calls = {"automorphisms_bruteforce": 0, "automorphism_generators": 0}
+        for name in calls:
+            real = getattr(genericgroup, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(genericgroup, name, counting)
+        code, out, _ = run(capsys, "verify", "12", "--converse", "--json")
+        assert code == 0 and json.loads(out)["pass"] is True
+        # one generating set per subgroup of ZM(5,16,2) and ZM(7,9,2)
+        assert calls == {"automorphisms_bruteforce": 0, "automorphism_generators": 18 + 12}
+
     def test_report_json_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "6", "--json")
         _, out2, _ = run(capsys, "verify", "6", "--json")
@@ -296,14 +313,21 @@ class TestBoundExits:
         [
             ("21", "factor ZM(29,49,16) of order 1421 exceeds the scan bounds"),
             ("30", "factor ZM(11,25,4) of order 275 exceeds the scan bounds"),
+            ("8", "factor ZM(17,64,9) of order 1088 exceeds the scan bounds"),
         ],
     )
     def test_out_of_bound_factor_refused_before_any_table(
         self, capsys, monkeypatch, n, message
     ):
-        calls = {"cayley": 0, "subgroups": 0}
+        # nor any forward comparison, whose rows the refusal would discard
+        calls = {"cayley": 0, "subgroups": 0, "compare": 0}
         real_cayley = ZmTriple.cayley
         real_subgroups = genericgroup.subgroups
+        real_compare = abscenter.compare
+
+        def compare(*args, **kwargs):
+            calls["compare"] += 1
+            return real_compare(*args, **kwargs)
 
         def cayley(self, *args, **kwargs):
             calls["cayley"] += 1
@@ -315,11 +339,12 @@ class TestBoundExits:
 
         monkeypatch.setattr(ZmTriple, "cayley", cayley)
         monkeypatch.setattr(genericgroup, "subgroups", subgroups)
+        monkeypatch.setattr(abscenter, "compare", compare)
         code, out, err = run(capsys, "verify", n, "--converse")
         assert code == 3
         assert out == ""
         assert err == f"error: {message} (subgroups 400, aut 200)\n"
-        assert calls == {"cayley": 0, "subgroups": 0}
+        assert calls == {"cayley": 0, "subgroups": 0, "compare": 0}
 
     def test_prime_hunt_past_certified_range_exits_3(self, capsys):
         # 2^77: the hunt 1 + t*2^77 passes psi_12 at t = 3

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from group_helpers import center_bruteforce
+from group_helpers import NAMED_GROUPS, center_bruteforce
 from slow_reference import (
     reference_automorphisms_bruteforce,
     reference_closure,
@@ -12,7 +12,7 @@ from slow_reference import (
     reference_is_associative,
     reference_subgroups,
 )
-from zmcenter import aut, genericgroup as gg
+from zmcenter import abscenter, aut, genericgroup as gg
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import factorize
 from zmcenter.zm import iter_valid_triples, validate_triple
@@ -435,6 +435,39 @@ class TestAutomorphismsBruteforce:
     def test_bound_enforced(self, zm_5_16_2):
         with pytest.raises(BoundExceededError):
             gg.automorphisms_bruteforce(zm_5_16_2.cayley(), aut_bound=10)
+
+
+class TestAutomorphismGenerators:
+    def test_generate_the_parametrised_family(self):
+        checked = 0
+        for t in iter_valid_triples(60):
+            group = t.cayley()
+            gens = gg.automorphism_generators(group)
+            family = {aut.to_permutation(t, a) for a in aut.enumerate_family(t, "all")}
+            # automorphisms_bruteforce is the closure of gens in Sym(n)
+            assert set(gg.automorphisms_bruteforce(group)) == family
+            assert 2 ** len(gens) <= len(family)
+            oracle = abscenter.absolute_center_oracle(t)
+            assert set(gg.fixed_subgroup(group, gens).members) == {t.index_of(g) for g in oracle}
+            checked += 1
+        assert checked == 55
+
+    # the first tested tables outside the ZM family, whose automorphism
+    # groups have another shape: where a wrong orbit skip would show
+    @pytest.mark.parametrize(
+        "name, order",
+        [("S4", 24), ("A4", 12), ("S3xS3", 36), ("D5", 10), ("A5", 60), ("S5", 120),
+         ("SL(2,3)", 24), ("GL(2,3)", 48), ("PSL(2,7)", 168)],
+    )
+    def test_named_groups_and_their_subgroups(self, name, order):
+        group = NAMED_GROUPS[name]()
+        assert group.order == order
+        for sub in gg.subgroups(group):
+            table = sub.as_group()
+            reference = reference_automorphisms_bruteforce(table)
+            assert gg.automorphisms_bruteforce(table) == reference
+            fixed = tuple(i for i in range(table.order) if all(p[i] == i for p in reference))
+            assert gg.absolute_center_bruteforce(table).members == fixed
 
 
 class TestAbsoluteCenterBruteforce:

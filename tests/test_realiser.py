@@ -180,6 +180,9 @@ class TestVerifyForward:
             realiser.verify_forward(partial)
         with pytest.raises(CertificateError, match="decomposition"):
             realiser.verify(partial)
+        # before the converse scan-bound refusal, which would trip first
+        with pytest.raises(CertificateError, match="decomposition"):
+            realiser.verify(partial, converse=True, bounds=Bounds(aut=10))
 
     @pytest.mark.parametrize("n", [1, 2, 12, 30, 720, 5040, 720720])
     def test_matches_unmemoised_reference(self, n):
