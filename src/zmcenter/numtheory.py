@@ -4,8 +4,17 @@ searches that feed the cyclic-realisation construction.
 Everything here is deterministic. Primality uses the Miller-Rabin base set
 that is proven complete for all inputs below psi_12 ~ 3.2 * 10^23, so
 there is no probabilistic acceptance anywhere in the verification chain.
+Before any Miller-Rabin round, one gcd with the product of the 172 primes
+up to 1024 rejects every number with a small factor, and a number below
+1031^2 that passes it is prime.  The rounds then stop after the k-th base
+once n < psi_k, the least strong pseudoprime to the first k prime bases
+(OEIS A014233), so a number runs only the bases its size needs.
 Factoring is trial division up to a small bound, then Pollard-Brent rho on
 what is left; every factor rho returns is proven prime before it is kept.
+
+The two searches of the construction take the prime q of q^a from the
+caller, which has already certified it by factoring N, and check only that
+q^a is a positive power of that q; they certify no prime of N again.
 """
 
 from __future__ import annotations
@@ -20,10 +29,31 @@ from .config import DEFAULT_BOUNDS
 # n < psi_12 = 318665857834031151167461 ~ 3.2 * 10^23 (Sorenson and Webster,
 # "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017), in
 # particular for all 64-bit n.  psi_12 itself is a strong pseudoprime to all
-# twelve; covering up to psi_13 ~ 3.3 * 10^24 needs base 41 as well.
+# twelve; covering up to psi_13 ~ 3.3 * 10^24 needs base 41 as well.  In
+# general the first k bases are complete below psi_k, the least strong
+# pseudoprime to all k of them (OEIS A014233), so `is_prime` stops after
+# base k once n < psi_k.  It tests no base as a divisor: one gcd with
+# `_TRIAL_PRODUCT` has already rejected every n with a prime factor up to
+# 1024.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_PSI_12 = 318665857834031151167461
+# _PSI[k - 1] = psi_k; psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so those
+# bases widen no range
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+_PSI_12 = _PSI[-1]
 
 # factorize divides by every prime up to _TRIAL_BOUND and hands the
 # cofactor left over to Pollard-Brent rho
@@ -47,36 +77,46 @@ _NEXT_PRIME = next(
     k for k in range(_TRIAL_BOUND + 1, 2 * _TRIAL_BOUND) if all(k % p for p in _TRIAL_PRIMES)
 )
 
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
+# n shares a factor with this product iff a trial prime divides n
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
 # rho multiplies this many differences together before taking one gcd
 _RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < psi_12."""
+    """Deterministic primality test for n < psi_12.
+
+    n <= 1024 is looked up among the trial primes.  Above that, a common
+    factor with `_TRIAL_PRODUCT` means a trial prime divides n, and a
+    number below 1031^2 with none is prime, as in `factorize`.  Any other
+    n runs the Miller-Rabin bases in order and is prime once it passes the
+    first k of them with n < psi_k.
+    """
     if n >= _PSI_12:
         raise ValueError(
             f"primality test is only certified below psi_12 = {_PSI_12}, got {n}"
         )
-    if n < 2:
+    if n <= _TRIAL_BOUND:
+        return n in _TRIAL_PRIME_SET
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
+    if n < _NEXT_PRIME * _NEXT_PRIME:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a, psi in zip(_MR_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 
@@ -235,28 +275,35 @@ def geometric_sum_mod(r: int, u: int, m: int) -> int:
     return half * (1 + pow(r, u // 2, m)) % m
 
 
-def _check_prime_power(q_pow: int) -> tuple[int, int]:
-    fact = factorize(q_pow)
-    if len(fact.pairs) != 1:
-        raise ValueError(f"{q_pow} is not a prime power")
-    return fact.pairs[0]
+def _check_power_of(q_pow: int, q: int) -> None:
+    """Raise ValueError unless q_pow = q^a for some a >= 1.  q is the prime
+    the caller certified; it is not tested again here."""
+    k = q_pow
+    if q >= 2:
+        while k > 1 and k % q == 0:
+            k //= q
+    if q_pow < 2 or k != 1:
+        raise ValueError(f"{q_pow} is not a positive power of the prime {q}")
 
 
 def find_prime_in_progression(
     q_pow: int,
     exclusions: frozenset[int] | set[int] = frozenset(),
     budget: int = DEFAULT_BOUNDS.prime_budget,
+    *,
+    q: int,
 ) -> int:
     """Smallest prime p = 1 + t*q_pow with t >= 1 and p not excluded.
 
+    q_pow must be a positive power of q, the prime the caller has already
+    certified (`realise` takes it from its one `factorize(N)`); the guard
+    checks only that, so the hunt certifies no prime of N again.
     Existence is only guaranteed asymptotically, so the scan carries an
     explicit budget on t; exhausting it raises rather than answering wrong.
     A candidate at or above psi_12, where `is_prime` is not certified, ends
     the hunt with BoundExceededError.
     """
-    if q_pow < 2:
-        raise ValueError(f"prime power must be >= 2, got {q_pow}")
-    _check_prime_power(q_pow)
+    _check_power_of(q_pow, q)
     for t in range(1, budget + 1):
         p = 1 + t * q_pow
         if p >= _PSI_12:
@@ -271,9 +318,12 @@ def find_prime_in_progression(
     )
 
 
-def find_element_of_order(p: int, q_pow: int) -> int:
+def find_element_of_order(p: int, q_pow: int, *, q: int) -> int:
     """Some r with multiplicative order exactly q_pow modulo the prime p.
 
+    q_pow must be 1 or a positive power of q, the prime the caller has
+    already certified; the guard checks only that.  p itself is still
+    certified here, independently of the hunt that found it.
     Scans bases g = 2, 3, ... and takes r = g^((p-1)/q_pow); r then has
     order dividing q_pow, and order exactly q_pow iff r^(q_pow/q) != 1.
     Ascending g keeps the result reproducible across runs.
@@ -282,7 +332,7 @@ def find_element_of_order(p: int, q_pow: int) -> int:
         raise ValueError(f"{p} is not prime")
     if q_pow == 1:
         return 1
-    q, _ = _check_prime_power(q_pow)
+    _check_power_of(q_pow, q)
     if (p - 1) % q_pow != 0:
         raise ValueError(f"{q_pow} does not divide {p} - 1")
     cofactor = (p - 1) // q_pow

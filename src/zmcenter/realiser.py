@@ -34,6 +34,7 @@ from . import abscenter, genericgroup, schemas
 from .config import Bounds, DEFAULT_BOUNDS
 from .errors import BoundExceededError, CertificateError
 from .numtheory import (
+    _PSI_12,
     factorize,
     find_element_of_order,
     find_prime_in_progression,
@@ -120,7 +121,9 @@ def validate_certificate(
     cert: RealiserCertificate, decomposition: tuple[tuple[int, int], ...] | None = None
 ) -> None:
     """Recheck every structural invariant; raises CertificateError, or
-    TripleError for a bad factor presentation.
+    TripleError for a bad factor presentation, or BoundExceededError when
+    a cofactor of N or an auxiliary prime is outside the certified range
+    of the primality test (below psi_12).
 
     `decomposition` is `factorize(cert.N).pairs` when the caller has just
     computed it (`realise` does); without it N is factored here, so a
@@ -138,6 +141,11 @@ def validate_certificate(
     if qs & set(ps):
         raise CertificateError(f"auxiliary primes collide with {sorted(qs & set(ps))}")
     for f in cert.factors:
+        if f.p >= _PSI_12:
+            raise BoundExceededError(
+                f"auxiliary prime {f.p} is outside the certified range of the "
+                f"primality test (below psi_12 = {_PSI_12})"
+            )
         if not is_prime(f.p):
             raise CertificateError(f"{f.p} is not prime")
         if (f.p - 1) % f.q_pow != 0:
@@ -170,9 +178,10 @@ def realise(N: int, prime_budget: int = DEFAULT_BOUNDS.prime_budget) -> Realiser
     factors = []
     for q, alpha in decomposition:
         q_pow = q**alpha
-        p = find_prime_in_progression(q_pow, exclusions, budget=prime_budget)
+        p = find_prime_in_progression(q_pow, exclusions, budget=prime_budget, q=q)
         exclusions.add(p)
-        factors.append(FactorWitness(q=q, alpha=alpha, p=p, r=find_element_of_order(p, q_pow)))
+        r = find_element_of_order(p, q_pow, q=q)
+        factors.append(FactorWitness(q=q, alpha=alpha, p=p, r=r))
     cert = RealiserCertificate(N=N, factors=tuple(factors))
     validate_certificate(cert, decomposition)
     return cert

@@ -12,8 +12,10 @@ for associativity to Light's test on a generating set,
 to splitting each index once, `CayleyGroup.element_orders` moved from
 walking every element's powers to one walk per cyclic subgroup,
 `subgroups` moved from extending by every outside element to one element
-per right coset, and `automorphisms_bruteforce` moved from re-closing the
-whole partial map at every node to checking each new pair once.  The
+per right coset, `automorphisms_bruteforce` moved from re-closing the
+whole partial map at every node to checking each new pair once, and
+`is_prime` moved from all twelve Miller-Rabin bases on every input to a
+gcd sieve and only the bases that the size of the input needs.  The
 tests check the package against them; they are never used by the
 package itself.
 """
@@ -27,7 +29,14 @@ from zmcenter.aut import AutTriple
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
 from zmcenter.errors import BoundExceededError
 from zmcenter.genericgroup import CayleyGroup, Subgroup, cyclic_group
-from zmcenter.numtheory import Factorization, factorize, geometric_sum_mod, is_prime
+from zmcenter.numtheory import (
+    _MR_BASES,
+    _PSI_12,
+    Factorization,
+    factorize,
+    geometric_sum_mod,
+    is_prime,
+)
 from zmcenter.zm import ZmElement, ZmTriple
 
 
@@ -310,6 +319,36 @@ def reference_factorize(n: int) -> Factorization:
         pairs.append((n, 1))
     pairs.sort()
     return Factorization(tuple(pairs))
+
+
+def reference_is_prime(n: int) -> bool:
+    """Miller-Rabin with all twelve bases of `_MR_BASES` on every n, after
+    trial division by the bases themselves; certified for 0 <= n < psi_12."""
+    if n >= _PSI_12:
+        raise ValueError(
+            f"primality test is only certified below psi_12 = {_PSI_12}, got {n}"
+        )
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def reference_is_associative(table: tuple[tuple[int, ...], ...]) -> bool:

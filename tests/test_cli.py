@@ -121,13 +121,30 @@ class TestRealise:
         assert code == 0
         assert json.loads(out)["N"] == 18809838571
         # N = 37619 * 500009 is factored once, and the certificate check
-        # reuses that decomposition; each of the two factors then factors
-        # q^alpha once in the prime-power guard of each search.  The check
-        # of ord_p(r) = q^alpha and of the factor presentations computes no
-        # order, so it factors neither p nor p - 1
-        assert len(calls) == 5
-        assert calls.count(18809838571) == 1
+        # reuses that decomposition.  The searches take each q from it and
+        # factor no q^alpha again.  The check of ord_p(r) = q^alpha and of
+        # the factor presentations computes no order, so it factors
+        # neither p nor p - 1
+        assert calls == [18809838571]
         assert orders == []
+
+    def test_prime_n_is_certified_once(self, capsys, monkeypatch):
+        n = 10**12 + 39  # a 13-digit prime
+        calls = []
+        real_is_prime = numtheory.is_prime
+
+        def is_prime(m):
+            calls.append(m)
+            return real_is_prime(m)
+
+        for module in (numtheory, realiser):
+            monkeypatch.setattr(module, "is_prime", is_prime)
+        code, out, _ = run(capsys, "realise", str(n), "--json")
+        assert code == 0
+        assert json.loads(out)["N"] == n
+        # factorize(N) certifies N; the hunt, the element search and the
+        # certificate check test only candidates 1 + t*N
+        assert calls.count(n) == 1
 
 
 class TestVerify:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slow_reference import reference_factorize
+from slow_reference import reference_factorize, reference_is_prime
 from zmcenter import numtheory
 from zmcenter.errors import BoundExceededError, SearchBudgetError
 from zmcenter.numtheory import (
     _MR_BASES,
+    _PSI,
     Factorization,
     euler_phi,
     factorize,
@@ -37,6 +38,32 @@ def _prime_between(rng: random.Random, lo: int, hi: int) -> int:
         n = rng.randrange(lo, hi)
         if _trial_division_prime(n):
             return n
+
+
+def _is_strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the strong test to base a: with n - 1 = d * 2^s and d odd,
+    a^d = 1 or a^(d * 2^i) = -1 (mod n) for some 0 <= i < s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# a factorization of each distinct psi_k into factors > 1, which proves it
+# composite without the code under test
+_PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+}
 
 
 def _order_by_scan(r: int, m: int) -> int:
@@ -72,19 +99,37 @@ class TestIsPrime:
         assert is_prime(83010348331692982273)
 
     def test_psi12_is_a_strong_pseudoprime_to_all_bases(self):
-        # psi_12 bounds the range on which the twelve bases are complete
-        psi12 = 318665857834031151167461
-        assert psi12 == 399165290221 * 798330580441
-        assert len(_MR_BASES) == 12
-        d, s = psi12 - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        for a in _MR_BASES:
-            x = pow(a, d, psi12)
-            assert x in (1, psi12 - 1) or any(
-                pow(x, 2**i, psi12) == psi12 - 1 for i in range(1, s)
-            ), a
+        # psi_k bounds the range on which the first k bases are complete:
+        # it is composite and passes all k of them, so a tier that stops
+        # after base k at n = psi_k itself would accept it
+        assert len(_MR_BASES) == len(_PSI) == 12
+        assert _PSI[-1] == 318665857834031151167461
+        for k, psi in enumerate(_PSI, start=1):
+            factors = _PSI_FACTORS[psi]
+            assert math.prod(factors) == psi and min(factors) > 1, k
+            for a in _MR_BASES[:k]:
+                assert _is_strong_probable_prime(psi, a), (k, a)
+            if k < 12:
+                assert not is_prime(psi), k
+                if _PSI[k] > psi:
+                    # then base k + 1 witnesses psi_k
+                    assert not _is_strong_probable_prime(psi, _MR_BASES[k]), k
+        assert list(_PSI) == sorted(_PSI)
+
+    def test_matches_twelve_base_reference(self):
+        # every n below 2 * 10^5, every n within 1000 of each psi_k, and a
+        # seeded sample of odd n of 11 to 78 bits
+        for n in range(200_000):
+            assert is_prime(n) == reference_is_prime(n), n
+        for psi in _PSI[:-1]:
+            for n in range(psi - 1000, psi + 1001):
+                assert is_prime(n) == reference_is_prime(n), n
+        for n in range(_PSI[-1] - 1000, _PSI[-1]):
+            assert is_prime(n) == reference_is_prime(n), n
+        rng = random.Random("is-prime-reference")
+        for _ in range(20_000):
+            n = rng.randrange(1 << rng.randrange(10, 78)) | 1
+            assert is_prime(n) == reference_is_prime(n), n
 
 
 class TestFactorize:
@@ -261,30 +306,45 @@ class TestGeometricSumMod:
 
 class TestFindPrimeInProgression:
     def test_known_values(self):
-        assert find_prime_in_progression(4, {2}) == 5
-        assert find_prime_in_progression(3, {3}) == 7
-        assert find_prime_in_progression(2, {2, 3, 5}) == 7
+        assert find_prime_in_progression(4, {2}, q=2) == 5
+        assert find_prime_in_progression(3, {3}, q=3) == 7
+        assert find_prime_in_progression(2, {2, 3, 5}, q=2) == 7
 
     def test_rejects_non_prime_powers(self):
         with pytest.raises(ValueError):
-            find_prime_in_progression(6)
+            find_prime_in_progression(6, q=2)
         with pytest.raises(ValueError):
-            find_prime_in_progression(1)
+            find_prime_in_progression(6, q=3)
+        with pytest.raises(ValueError):
+            find_prime_in_progression(1, q=2)
+        for q_pow, q in ((9, 2), (8, 4), (4, 1), (2, 3)):
+            with pytest.raises(ValueError, match="not a positive power"):
+                find_prime_in_progression(q_pow, q=q)
+
+    def test_certifies_no_prime_of_n_again(self, monkeypatch):
+        # the caller certified q by factoring N; neither search factors
+        def factorize(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(numtheory, "factorize", factorize)
+        assert find_prime_in_progression(3**4, {3}, q=3) == 163
+        assert find_element_of_order(163, 3**4, q=3) == 4
 
     def test_hunt_past_certified_range_is_a_bound_error(self):
         # 1 + t*2^77 is composite for t = 1, 2; t = 3 passes psi_12
         with pytest.raises(BoundExceededError, match="certified range"):
-            find_prime_in_progression(2**77, {2})
+            find_prime_in_progression(2**77, {2}, q=2)
 
     def test_budget_exhaustion_raises(self):
         # candidates 5, 9, 13, 17 are excluded or composite
         with pytest.raises(SearchBudgetError):
-            find_prime_in_progression(4, {5, 13, 17}, budget=4)
+            find_prime_in_progression(4, {5, 13, 17}, budget=4, q=2)
 
     @given(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25, 27, 121]))
     def test_postconditions(self, q_pow):
         exclusions = {2, 3, 5, 7}
-        p = find_prime_in_progression(q_pow, exclusions)
+        q = factorize(q_pow).pairs[0][0]
+        p = find_prime_in_progression(q_pow, exclusions, q=q)
         assert p % q_pow == 1
         assert is_prime(p)
         assert p not in exclusions
@@ -298,19 +358,25 @@ class TestFindPrimeInProgression:
 
 class TestFindElementOfOrder:
     def test_known_values(self):
-        assert find_element_of_order(5, 4) == 2
-        assert find_element_of_order(7, 3) == 4  # smallest base g=2 gives 2^2
-        assert find_element_of_order(5, 1) == 1
+        assert find_element_of_order(5, 4, q=2) == 2
+        assert find_element_of_order(7, 3, q=3) == 4  # smallest base g=2 gives 2^2
+        assert find_element_of_order(5, 1, q=2) == 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            find_element_of_order(10, 3)  # not prime
+            find_element_of_order(10, 3, q=3)  # not prime
         with pytest.raises(ValueError):
-            find_element_of_order(7, 4)  # 4 does not divide 6
+            find_element_of_order(7, 4, q=2)  # 4 does not divide 6
+        with pytest.raises(ValueError, match="not a positive power"):
+            find_element_of_order(13, 4, q=3)  # 4 is not a power of 3
 
-    @given(st.sampled_from([(5, 4), (7, 3), (13, 4), (17, 16), (19, 9), (101, 25), (31, 5)]))
+    @given(
+        st.sampled_from(
+            [(5, 4, 2), (7, 3, 3), (13, 4, 2), (17, 16, 2), (19, 9, 3), (101, 25, 5), (31, 5, 5)]
+        )
+    )
     def test_postconditions(self, case):
-        p, q_pow = case
-        r = find_element_of_order(p, q_pow)
+        p, q_pow, q = case
+        r = find_element_of_order(p, q_pow, q=q)
         assert 2 <= r < p
         assert multiplicative_order(r, p) == q_pow

@@ -95,6 +95,14 @@ class TestCertificateValidation:
         good = realiser.FactorWitness(q=2, alpha=1, p=3, r=5)
         realiser.validate_certificate(realiser.RealiserCertificate(N=2, factors=(good,)))
 
+    def test_auxiliary_prime_past_certified_range_is_a_bound_error(self):
+        # is_prime cannot certify p >= psi_12; the check refuses it with
+        # the range, not with the primality test's bare ValueError
+        psi12 = 318665857834031151167461
+        doc = {"schema": 1, "N": 2, "factors": [{"q": 2, "alpha": 1, "p": psi12 + 2, "r": 1}]}
+        with pytest.raises(BoundExceededError, match=r"certified range .*psi_12"):
+            realiser.RealiserCertificate.from_json_dict(doc)
+
     def test_loaded_certificate_factors_its_own_n(self):
         # the decomposition realise hands to the check is not reused on load:
         # a document whose N no longer matches its factors is refused
