@@ -188,7 +188,11 @@ def compare(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> AbsCenter
                 "by the automorphism family: parameter constraints are broken"
             )
         oracle_order = len(oracle)
-        span = {t.power(formula.generator, k) for k in range(formula.order)}
+        # the powers of b^(de) are the b^(k*de), stepped along u <- u + de
+        span, u = set(), 0
+        for _ in range(formula.order):
+            span.add(ZmElement(u, 0))
+            u = (u + formula.generator.u) % t.n
         agree = oracle == span
     return AbsCenterComparison(
         triple=t,

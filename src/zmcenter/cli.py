@@ -3,6 +3,13 @@
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or domain error, 3 bound or search budget exceeded.
 JSON output (--json) is byte-identical across identical invocations.
+
+The argparse parser of `build_parser` is the one description of the
+command line.  `main` reads a well-formed argv (an exact subcommand, exact
+option strings with separate values, and the declared number of
+positionals, none of them starting with "-") straight off that parser's
+actions; every other argv, help and every usage error included, goes
+through `parse_args`.
 """
 
 from __future__ import annotations
@@ -270,13 +277,112 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser `main` uses, built on the first call rather than at
-    import.  Reuse is safe: every parse_args call starts a fresh Namespace
-    from the action defaults."""
+    import.  Reuse is safe: every parse starts a fresh Namespace from the
+    action defaults.  `main` parses a well-formed argv directly from its
+    actions (`_parse_direct`); argparse stays the spec, and it alone
+    parses help requests, abbreviations, `--opt=value`, `--`, tokens
+    starting with "-" in place of a value or positional, and every argv
+    that is a usage error."""
     return build_parser()
 
 
+@functools.lru_cache(maxsize=1)
+def _direct_forms(parser: argparse.ArgumentParser) -> dict[str, tuple]:
+    """Per subcommand name: its option strings and its positionals, each
+    paired with its action and its type converter (None for a flag), and
+    the Namespace contents of a parse with no options, read off `parser`.
+    A subcommand with an action other than help, store_true and one-value
+    store, a required option, a mutually exclusive group or a typed str
+    default has no form, and neither has any subcommand of a parser with
+    options or defaults of its own: argparse parses those."""
+    commands, *others = [a for a in parser._actions if type(a) is not argparse._HelpAction]
+    if others or type(commands) is not argparse._SubParsersAction or parser._defaults:
+        return {}
+    forms = {}
+    for name, sub in commands.choices.items():
+        options, positionals, values = {}, [], {commands.dest: name}
+        for action in sub._actions:
+            kind = type(action)
+            if kind is argparse._HelpAction:
+                continue
+            if kind is argparse._StoreTrueAction:
+                convert = None
+            elif kind is argparse._StoreAction and action.nargs is None:
+                convert = sub._registry_get("type", action.type, action.type)
+            else:
+                break
+            if (action.required and action.option_strings
+                    or isinstance(action.default, str) and action.type is not None):
+                break
+            if action.default is not argparse.SUPPRESS:
+                values.setdefault(action.dest, action.default)
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, (action, convert)))
+            else:
+                positionals.append((action, convert))
+        else:
+            if not sub._mutually_exclusive_groups:
+                for key, value in sub._defaults.items():
+                    values.setdefault(key, value)
+                forms[name] = (options, positionals, values)
+    return forms
+
+
+_DECLINED = object()
+
+
+def _value(action, convert, token):
+    """`token` converted and checked as argparse does, or _DECLINED where
+    argparse would report an error or read the token otherwise."""
+    if type(token) is not str or token.startswith("-"):
+        return _DECLINED
+    try:
+        value = convert(token)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return _DECLINED
+    if action.choices is not None and value not in action.choices:
+        return _DECLINED
+    return value
+
+
+def _parse_direct(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace `parser.parse_args(argv)` returns, for an argv made
+    only of an exact subcommand name, exact option strings of its
+    store_true and store actions (a store option takes the next token as
+    its value) and exactly its positionals; None for any other argv."""
+    form = _direct_forms(parser).get(argv[0]) if argv and type(argv[0]) is str else None
+    if form is None:
+        return None
+    options, positionals, defaults = form
+    values = dict(defaults)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        entry = options.get(token) if type(token) is str else None
+        if entry is None:
+            given.append(token)
+            continue
+        action, convert = entry
+        value = action.const if convert is None else _value(action, convert, next(tokens, None))
+        if value is _DECLINED:
+            return None
+        values[action.dest] = value
+    if len(given) != len(positionals):
+        return None
+    for (action, convert), token in zip(positionals, given):
+        value = _value(action, convert, token)
+        if value is _DECLINED:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_direct(parser, argv)
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (TripleError, ValueError) as exc:

@@ -15,7 +15,9 @@ walking every element's powers to one walk per cyclic subgroup,
 per right coset, `automorphisms_bruteforce` moved from re-closing the
 whole partial map at every node to checking each new pair once, and
 `is_prime` moved from all twelve Miller-Rabin bases on every input to a
-gcd sieve and only the bases that the size of the input needs.  The
+gcd sieve and only the bases that the size of the input needs, and
+`abscenter.compare` moved from one `ZmTriple.power` per element of the
+span of b^(d*e) to stepping its exponent.  The
 tests check the package against them; they are never used by the
 package itself.
 """
@@ -132,6 +134,17 @@ def reference_absolute_center_oracle(
             ):
                 fixed.add(ZmElement(u, v))
     return fixed
+
+
+def reference_agree(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> bool | None:
+    """`compare`'s verdict, with the span of b^(d*e) built by one
+    `t.power` per element: whether the oracle's fixed points are exactly
+    that span, or None when the oracle is out of bounds."""
+    if t.order > oracle_bound:
+        return None
+    formula = abscenter.absolute_center_formula(t)
+    span = {t.power(formula.generator, k) for k in range(formula.order)}
+    return abscenter.absolute_center_oracle(t, oracle_bound) == span
 
 
 def reference_generator_oracle(

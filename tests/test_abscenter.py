@@ -5,6 +5,7 @@ import pytest
 from slow_reference import (
     reference_absolute_center_formula,
     reference_absolute_center_oracle,
+    reference_agree,
     reference_generator_oracle,
     reference_product_oracle,
 )
@@ -231,6 +232,13 @@ class TestCompare:
             oracle = abscenter.absolute_center_oracle(t)
             _, z_order = t.center()
             assert z_order % len(oracle) == 0
+
+    def test_agree_matches_the_power_span_reference(self):
+        triples = list(iter_valid_triples(2000))
+        agree = [abscenter.compare(t).agree for t in triples]
+        assert len(triples) == 7318
+        assert agree == [reference_agree(t) for t in triples]
+        assert True in agree and False in agree
 
     def test_json_shape(self, zm_5_16_2):
         doc = abscenter.compare(zm_5_16_2).as_json_dict()

@@ -1,7 +1,10 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -294,17 +297,158 @@ class TestSharedParser:
         ["oracle-check", "5", "16", "2", "--subgroup-bound", "3"],
         ["verify", "4", "--converse"],
         ["abscenter", "5", "16", "2", "--json"],
+        ["aut", "5", "16", "2", "--family", "inner", "--json"],
+        ["verify", "4", "--converse", "--aut-b=10"],
     ]
 
     def test_no_state_carried_between_calls(self, capsys, monkeypatch):
         cli._shared_parser.cache_clear()
         shared = [run_any(capsys, argv) for argv in self.SEQUENCE]
         assert cli._shared_parser() is cli._shared_parser()
+        direct = [cli._parse_direct(cli._shared_parser(), argv) is not None for argv in self.SEQUENCE]
+        assert direct == [True, False, True, True, True, False]
         monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
         fresh = [run_any(capsys, argv) for argv in self.SEQUENCE]
         assert shared == fresh
-        assert [code for code, _, _ in shared] == [3, 2, 0, 0]
+        assert [code for code, _, _ in shared] == [3, 2, 0, 0, 0, 3]
         assert "overall: PASS" in shared[2][1]
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _parse_args(parser, argv):
+    """What `parser.parse_args(argv)` returns, or the SystemExit it raises,
+    with its help and usage output swallowed."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc
+
+
+# Per subcommand: positionals, and options with their value (None for a flag)
+FUZZ_COMMANDS = {
+    "abscenter": (["5", "16", "2"], [("--json", None)]),
+    "aut": (["5", "16", "2"], [("--family", "central"), ("--count-only", None), ("--json", None)]),
+    "realise": (["12"], [("--prime-budget", "10"), ("--json", None)]),
+    "verify": (
+        ["4"],
+        [("--converse", None), ("--aut-bound", "10"), ("--subgroup-bound", "5"), ("--json", None)],
+    ),
+    "oracle-check": (["5", "16", "2"], [("--aut-bound", "10"), ("--json", None)]),
+}
+# Tokens an edit inserts: subcommands, exact, abbreviated and `=` options,
+# help, `--`, a bad --family choice, and numbers int() reads oddly or not at all
+FUZZ_TOKENS = [
+    *FUZZ_COMMANDS, "abs", "ver", "--json", "--count-only", "--family", "--converse",
+    "--aut-bound", "--subgroup-bound", "--prime-budget", "--js", "--aut-b", "--fam",
+    "--aut-bound=10", "--family=inner", "--json=1", "-h", "--help", "--", "", "-5",
+    " 7", "1_000", "5", "16", "inner", "bogus",
+]
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    """A subcommand with its positionals and some of its options, each
+    option spelled exactly, abbreviated or as `--opt=value`, all in
+    shuffled order, then edited up to twice: a token inserted, dropped,
+    replaced or repeated."""
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    positionals, options = FUZZ_COMMANDS[command]
+    units = [[token] for token in positionals]
+    for option, value in rng.sample(options, rng.randint(0, len(options))):
+        spelling = rng.choice([option, option, option[:-2]])
+        if value is None:
+            units.append([spelling])
+        elif rng.random() < 0.2:
+            units.append([f"{spelling}={value}"])
+        else:
+            units.append([spelling, value])
+    rng.shuffle(units)
+    argv = [command, *(token for unit in units for token in unit)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randrange(len(argv))
+        edit = rng.randrange(4)
+        if edit == 0:
+            argv.insert(at, rng.choice(FUZZ_TOKENS))
+        elif edit == 1:
+            del argv[at]
+        elif edit == 2:
+            argv[at] = rng.choice(FUZZ_TOKENS)
+        else:
+            argv.insert(at, argv[at])
+    return argv
+
+
+class TestDirectParse:
+    def test_golden_and_benchmark_argvs_take_the_direct_path(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        argvs = [
+            g["argv"]
+            for name in ("cli_golden.json", "converse_golden.json")
+            for g in json.loads((DATA / name).read_text())
+        ]
+        argvs += [
+            list(op.argv) for workload in workloads.WORKLOADS for op in workloads.build(workload, 1, 12)
+        ]
+        parser = cli.build_parser()
+        for argv in argvs:
+            direct = cli._parse_direct(parser, argv)
+            assert direct is not None, argv
+            assert direct == parser.parse_args(argv), argv
+
+    def test_fuzz_agrees_with_argparse(self):
+        parser = cli.build_parser()
+        rng = random.Random("direct-parse")
+        paths = {"direct": 0, "argparse parses": 0, "argparse exits": 0}
+        for _ in range(4000):
+            argv = _fuzz_argv(rng)
+            direct = cli._parse_direct(parser, argv)
+            result = _parse_args(parser, argv)
+            if direct is not None:
+                assert isinstance(result, argparse.Namespace) and result == direct, argv
+                paths["direct"] += 1
+            elif isinstance(result, SystemExit):
+                paths["argparse exits"] += 1
+            else:
+                paths["argparse parses"] += 1
+        # each path is taken often enough to mean something
+        assert min(paths.values()) > 200, paths
+
+    def test_non_str_token_is_left_to_argparse(self):
+        parser = cli.build_parser()
+        assert cli._parse_direct(parser, ["abscenter", "5", 16, "2"]) is None
+        assert cli._parse_direct(parser, [5, "16", "2"]) is None
+
+
+class TestFallback:
+    def test_help_is_argparse_help(self, capsys):
+        code, out, _ = run_any(capsys, ["abscenter", "-h"])
+        assert code == 0
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["abscenter", "-h"])
+        assert out == capsys.readouterr().out
+        assert out.startswith("usage: zmcenter abscenter")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "4", "--aut-b", "10", "--converse"], ["verify", "4", "--converse", "--aut-bound=10"]],
+    )
+    def test_abbreviated_and_equals_options_still_apply(self, capsys, argv):
+        assert cli._parse_direct(cli._shared_parser(), argv) is None
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "exceeds the scan bounds" in err
+
+    def test_negative_positional_is_a_range_error(self, capsys):
+        argv = ["abscenter", "-5", "3", "2"]
+        assert cli._parse_direct(cli._shared_parser(), argv) is None
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: need m, n, r >= 1, got (-5,3,2)\n")
 
 
 class TestUsage:
@@ -454,6 +598,19 @@ class TestNoDeadFlag:
             cli.main(["oracle-check", "5", "16", "2", "--subgroup-bound", "5"])
         assert exc.value.code == 2
         assert "--subgroup-bound" in capsys.readouterr().err
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    argv = ["abscenter", "5", "16", "2", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "zmcenter", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=60,
+    )
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
 
 
 def test_probe_discrepancies_script_runs():
