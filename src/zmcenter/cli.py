@@ -4,23 +4,24 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or domain error, 3 bound or search budget exceeded.
 JSON output (--json) is byte-identical across identical invocations.
 
-The argparse parser of `build_parser` is the one description of the
-command line.  `main` reads a well-formed argv (an exact subcommand, exact
-option strings with separate values, and the declared number of
-positionals, none of them starting with "-") straight off that parser's
-actions; every other argv, help and every usage error included, goes
-through `parse_args`.
+`COMMANDS` is the one description of the command line: per subcommand
+its handler, help, int positionals and options.  `build_parser` makes the
+argparse parser from it, and `main` reads a well-formed argv (an exact
+subcommand, exact option strings with separate values, and exactly the
+declared positionals, none of them starting with "-") straight off the
+same table; every other argv, help and every usage error included, goes
+through argparse.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
+from typing import Callable, NamedTuple
 
 from . import abscenter, aut, genericgroup, realiser
 from .config import Bounds, DEFAULT_BOUNDS
-from .errors import BoundExceededError, SearchBudgetError, TripleError, ZmcenterError
+from .errors import BoundExceededError, SearchBudgetError, ZmcenterError
 from .schemas import to_json
 from .zm import validate_triple
 
@@ -225,173 +226,138 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK if verdict else EXIT_VERIFY_FAIL
 
 
+class Option(NamedTuple):
+    type: Callable[[str], object] | None  # None: a store_true flag
+    default: object = False
+    choices: tuple | None = None
+
+
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    positionals: tuple[str, ...]  # each read with int
+    options: dict[str, Option]  # in help order
+
+
+FLAG = Option(None)
+TRIPLE = ("m", "n", "r")
+COMMANDS = {
+    "abscenter": Command(
+        _cmd_abscenter, "absolute center of ZM(m,n,r), both paths", TRIPLE, {"--json": FLAG}
+    ),
+    "aut": Command(
+        _cmd_aut, "automorphism family or counts of ZM(m,n,r)", TRIPLE,
+        {"--family": Option(str, "all", aut.FAMILIES), "--count-only": FLAG, "--json": FLAG},
+    ),
+    "realise": Command(
+        _cmd_realise, "certificate realizing C_N as an absolute center", ("N",),
+        {"--prime-budget": Option(int, DEFAULT_BOUNDS.prime_budget), "--json": FLAG},
+    ),
+    "verify": Command(
+        _cmd_verify, "realise N and machine-check the construction", ("N",),
+        {
+            "--converse": FLAG,
+            "--json": FLAG,
+            "--aut-bound": Option(int, DEFAULT_BOUNDS.aut),
+            "--subgroup-bound": Option(int, DEFAULT_BOUNDS.subgroups),
+            "--prime-budget": Option(int, DEFAULT_BOUNDS.prime_budget),
+        },
+    ),
+    "oracle-check": Command(
+        _cmd_oracle_check, "formula paths vs brute force, exit 1 on disagreement", TRIPLE,
+        {"--json": FLAG, "--aut-bound": Option(int, DEFAULT_BOUNDS.aut)},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `COMMANDS`.  It alone parses help, abbreviations,
+    `--opt=value`, `--`, "-" tokens in place of values, and usage errors."""
     parser = argparse.ArgumentParser(
         prog="zmcenter",
         description="Absolute centers of ZM-groups: formulas, oracles, and "
         "cyclic realisation certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_triple_args(p):
-        p.add_argument("m", type=int)
-        p.add_argument("n", type=int)
-        p.add_argument("r", type=int)
-
-    p = sub.add_parser("abscenter", help="absolute center of ZM(m,n,r), both paths")
-    add_triple_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_abscenter)
-
-    p = sub.add_parser("aut", help="automorphism family or counts of ZM(m,n,r)")
-    add_triple_args(p)
-    p.add_argument("--family", choices=aut.FAMILIES, default="all")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_aut)
-
-    p = sub.add_parser("realise", help="certificate realizing C_N as an absolute center")
-    p.add_argument("N", type=int)
-    p.add_argument("--prime-budget", type=int, default=DEFAULT_BOUNDS.prime_budget)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_realise)
-
-    p = sub.add_parser("verify", help="realise N and machine-check the construction")
-    p.add_argument("N", type=int)
-    p.add_argument("--converse", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--aut-bound", type=int, default=DEFAULT_BOUNDS.aut)
-    p.add_argument("--subgroup-bound", type=int, default=DEFAULT_BOUNDS.subgroups)
-    p.add_argument("--prime-budget", type=int, default=DEFAULT_BOUNDS.prime_budget)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("oracle-check", help="formula paths vs brute force, exit 1 on disagreement")
-    add_triple_args(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--aut-bound", type=int, default=DEFAULT_BOUNDS.aut)
-    p.set_defaults(func=_cmd_oracle_check)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in command.positionals:
+            p.add_argument(dest, type=int)
+        for flag, option in command.options.items():
+            if option.type is None:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag, type=option.type, default=option.default, choices=option.choices)
+        p.set_defaults(func=command.handler)
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on the first call rather than at
-    import.  Reuse is safe: every parse starts a fresh Namespace from the
-    action defaults.  `main` parses a well-formed argv directly from its
-    actions (`_parse_direct`); argparse stays the spec, and it alone
-    parses help requests, abbreviations, `--opt=value`, `--`, tokens
-    starting with "-" in place of a value or positional, and every argv
-    that is a usage error."""
-    return build_parser()
+def _form(name: str, command: Command) -> tuple[dict, list, dict]:
+    """A subcommand's options by option string and its positionals, each
+    with its Namespace name, and the Namespace of a parse with no options."""
+    options, values = {}, {"command": name, "func": command.handler}
+    for flag, option in command.options.items():
+        dest = flag[2:].replace("-", "_")
+        options[flag] = (dest, option)
+        values[dest] = option.default
+    return options, [(dest, Option(int)) for dest in command.positionals], values
 
 
-@functools.lru_cache(maxsize=1)
-def _direct_forms(parser: argparse.ArgumentParser) -> dict[str, tuple]:
-    """Per subcommand name: its option strings and its positionals, each
-    paired with its action and its type converter (None for a flag), and
-    the Namespace contents of a parse with no options, read off `parser`.
-    A subcommand with an action other than help, store_true and one-value
-    store, a required option, a mutually exclusive group or a typed str
-    default has no form, and neither has any subcommand of a parser with
-    options or defaults of its own: argparse parses those."""
-    commands, *others = [a for a in parser._actions if type(a) is not argparse._HelpAction]
-    if others or type(commands) is not argparse._SubParsersAction or parser._defaults:
-        return {}
-    forms = {}
-    for name, sub in commands.choices.items():
-        options, positionals, values = {}, [], {commands.dest: name}
-        for action in sub._actions:
-            kind = type(action)
-            if kind is argparse._HelpAction:
-                continue
-            if kind is argparse._StoreTrueAction:
-                convert = None
-            elif kind is argparse._StoreAction and action.nargs is None:
-                convert = sub._registry_get("type", action.type, action.type)
-            else:
-                break
-            if (action.required and action.option_strings
-                    or isinstance(action.default, str) and action.type is not None):
-                break
-            if action.default is not argparse.SUPPRESS:
-                values.setdefault(action.dest, action.default)
-            if action.option_strings:
-                options.update(dict.fromkeys(action.option_strings, (action, convert)))
-            else:
-                positionals.append((action, convert))
-        else:
-            if not sub._mutually_exclusive_groups:
-                for key, value in sub._defaults.items():
-                    values.setdefault(key, value)
-                forms[name] = (options, positionals, values)
-    return forms
+_FORMS = {name: _form(name, command) for name, command in COMMANDS.items()}
 
 
-_DECLINED = object()
-
-
-def _value(action, convert, token):
-    """`token` converted and checked as argparse does, or _DECLINED where
-    argparse would report an error or read the token otherwise."""
-    if type(token) is not str or token.startswith("-"):
-        return _DECLINED
-    try:
-        value = convert(token)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return _DECLINED
-    if action.choices is not None and value not in action.choices:
-        return _DECLINED
-    return value
-
-
-def _parse_direct(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace `parser.parse_args(argv)` returns, for an argv made
-    only of an exact subcommand name, exact option strings of its
-    store_true and store actions (a store option takes the next token as
-    its value) and exactly its positionals; None for any other argv."""
-    form = _direct_forms(parser).get(argv[0]) if argv and type(argv[0]) is str else None
+def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace `build_parser().parse_args(argv)` returns, for an argv
+    made only of an exact subcommand name, exact option strings of its
+    options (one with a type takes the next token as its value) and
+    exactly its positionals, each value converted and checked as argparse
+    does; None for any other argv."""
+    form = _FORMS.get(argv[0]) if argv and type(argv[0]) is str else None
     if form is None:
         return None
-    options, positionals, defaults = form
-    values = dict(defaults)
-    given = []
+    options, positionals, values = form
+    values = dict(values)
+    read = []  # (dest, option, token) for each value to convert
+    unread = iter(positionals)
     tokens = iter(argv[1:])
     for token in tokens:
         entry = options.get(token) if type(token) is str else None
         if entry is None:
-            given.append(token)
-            continue
-        action, convert = entry
-        value = action.const if convert is None else _value(action, convert, next(tokens, None))
-        if value is _DECLINED:
-            return None
-        values[action.dest] = value
-    if len(given) != len(positionals):
+            entry = next(unread, None)
+            if entry is None:
+                return None
+            read.append((*entry, token))
+        elif entry[1].type is None:
+            values[entry[0]] = True
+        else:
+            read.append((*entry, next(tokens, None)))
+    if next(unread, None) is not None:
         return None
-    for (action, convert), token in zip(positionals, given):
-        value = _value(action, convert, token)
-        if value is _DECLINED:
+    for dest, option, token in read:
+        # argparse reads a token starting with "-" as an option, or fails
+        if type(token) is not str or token.startswith("-"):
             return None
-        values[action.dest] = value
+        try:
+            value = option.type(token)
+        except (TypeError, ValueError):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[dest] = value
     return argparse.Namespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_direct(parser, argv)
+    args = _parse_direct(argv)
     if args is None:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TripleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BoundExceededError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except ZmcenterError as exc:
+    except (ZmcenterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,9 +2,10 @@
 enumeration, and table automorphisms.
 
 This is the independent ground truth for every closed formula in the
-package, so construction is paranoid: tables are checked to be Latin
-squares with identity, and associativity is proved at every order by
-Light's test on a generating set.
+package, so `from_table` proves what it accepts: permutation rows, a
+two-sided identity, and associativity by Light's test on a generating
+set.  Columns need no check: a finite monoid whose rows are permutations
+is a group.
 
 The two scans do less work for the same answers.  `subgroups` extends a
 known subgroup s by one element per right coset s*g, since
@@ -49,9 +50,6 @@ class CayleyGroup:
         for i, row in enumerate(self.table):
             if len(row) != n or frozenset(row) != full:
                 raise ValueError(f"row {i} is not a permutation")
-        for j, column in enumerate(zip(*self.table)):
-            if frozenset(column) != full:
-                raise ValueError(f"column {j} is not a permutation")
         # Light's test.  The set A of elements a with (x*a)*y = x*(a*y) for
         # all x, y contains the identity and is closed under products: for
         # a, b in A, (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y))
@@ -59,7 +57,7 @@ class CayleyGroup:
         # elements that pass the check, and when the closure of a set S
         # is the whole table, checking S alone proves associativity.
         # `generating_sequence` picks such an S (its closure search only
-        # right-multiplies, so it is sound on any Latin square): O(n^2 |S|).
+        # right-multiplies, so it is sound on any table): O(n^2 |S|).
         t = self.table
         for a in self.generating_sequence:
             x_times_a_row = itemgetter(*t[a])  # row x at (a*y) is x*(a*y)
@@ -80,7 +78,8 @@ class CayleyGroup:
         each g whose order is still unknown, which assigns
         ord(g^k) = ord(g) / gcd(k, ord(g)) to every power on the walk.
         `_validate` reads them before associativity is proved; there they
-        only rank candidate generators, which Light's test does not need."""
+        only rank candidate generators, which Light's test does not need; a
+        walk longer than the order, which only a non-group has, raises ValueError."""
         table, ident = self.table, self.identity_index
         orders = [0] * self.order
         orders[ident] = 1
@@ -89,6 +88,8 @@ class CayleyGroup:
                 continue
             powers = [g]
             while powers[-1] != ident:
+                if len(powers) == self.order:
+                    raise ValueError(f"no power of element {g} is the identity")
                 powers.append(table[powers[-1]][g])
             k_g = len(powers)
             for k, x in enumerate(powers, 1):
@@ -154,13 +155,15 @@ class Subgroup:
         return len(self.members)
 
     def as_group(self) -> CayleyGroup:
-        """The subgroup as a standalone group (indices renumbered)."""
+        """The subgroup as a standalone group (indices renumbered).  A
+        closed subset of a group that holds the identity is a group, so
+        its table needs no check."""
         old_to_new = {g: i for i, g in enumerate(self.members)}
         table = tuple(
             tuple(old_to_new[self.parent.table[x][y]] for y in self.members)
             for x in self.members
         )
-        return CayleyGroup.from_table(table)
+        return CayleyGroup(table, old_to_new[self.parent.identity_index])
 
 
 def cyclic_group(k: int) -> CayleyGroup:

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -301,13 +302,10 @@ class TestSharedParser:
         ["verify", "4", "--converse", "--aut-b=10"],
     ]
 
-    def test_no_state_carried_between_calls(self, capsys, monkeypatch):
-        cli._shared_parser.cache_clear()
+    def test_no_state_carried_between_calls(self, capsys):
         shared = [run_any(capsys, argv) for argv in self.SEQUENCE]
-        assert cli._shared_parser() is cli._shared_parser()
-        direct = [cli._parse_direct(cli._shared_parser(), argv) is not None for argv in self.SEQUENCE]
+        direct = [cli._parse_direct(argv) is not None for argv in self.SEQUENCE]
         assert direct == [True, False, True, True, True, False]
-        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
         fresh = [run_any(capsys, argv) for argv in self.SEQUENCE]
         assert shared == fresh
         assert [code for code, _, _ in shared] == [3, 2, 0, 0, 0, 3]
@@ -397,7 +395,7 @@ class TestDirectParse:
         ]
         parser = cli.build_parser()
         for argv in argvs:
-            direct = cli._parse_direct(parser, argv)
+            direct = cli._parse_direct(argv)
             assert direct is not None, argv
             assert direct == parser.parse_args(argv), argv
 
@@ -407,7 +405,7 @@ class TestDirectParse:
         paths = {"direct": 0, "argparse parses": 0, "argparse exits": 0}
         for _ in range(4000):
             argv = _fuzz_argv(rng)
-            direct = cli._parse_direct(parser, argv)
+            direct = cli._parse_direct(argv)
             result = _parse_args(parser, argv)
             if direct is not None:
                 assert isinstance(result, argparse.Namespace) and result == direct, argv
@@ -420,9 +418,8 @@ class TestDirectParse:
         assert min(paths.values()) > 200, paths
 
     def test_non_str_token_is_left_to_argparse(self):
-        parser = cli.build_parser()
-        assert cli._parse_direct(parser, ["abscenter", "5", 16, "2"]) is None
-        assert cli._parse_direct(parser, [5, "16", "2"]) is None
+        assert cli._parse_direct(["abscenter", "5", 16, "2"]) is None
+        assert cli._parse_direct([5, "16", "2"]) is None
 
 
 class TestFallback:
@@ -439,16 +436,30 @@ class TestFallback:
         [["verify", "4", "--aut-b", "10", "--converse"], ["verify", "4", "--converse", "--aut-bound=10"]],
     )
     def test_abbreviated_and_equals_options_still_apply(self, capsys, argv):
-        assert cli._parse_direct(cli._shared_parser(), argv) is None
+        assert cli._parse_direct(argv) is None
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "exceeds the scan bounds" in err
 
     def test_negative_positional_is_a_range_error(self, capsys):
         argv = ["abscenter", "-5", "3", "2"]
-        assert cli._parse_direct(cli._shared_parser(), argv) is None
+        assert cli._parse_direct(argv) is None
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: need m, n, r >= 1, got (-5,3,2)\n")
+
+
+class TestHelpAndUsagePins:
+    """`cli_help.json` holds the exit code, stdout and stderr of the help
+    of every command and of four usage errors, recorded with Python 3.11
+    and COLUMNS=80, the terminal width argparse wraps its lines to."""
+
+    @pytest.mark.parametrize(
+        "pin", json.loads((DATA / "cli_help.json").read_text()), ids=lambda pin: " ".join(pin["argv"])
+    )
+    def test_replays_byte_for_byte(self, capsys, monkeypatch, pin):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_any(capsys, pin["argv"])
+        assert {"argv": pin["argv"], "exit": code, "stdout": out, "stderr": err} == pin
 
 
 class TestUsage:
@@ -567,20 +578,26 @@ BOUND_FLAG_CASES = {
 
 
 def _declared_bound_flags() -> set[tuple[str, str]]:
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        (name, option)
-        for name, sub in commands.choices.items()
-        for action in sub._actions
-        for option in action.option_strings
-        if option.endswith(("-bound", "-budget"))
+        (name, flag)
+        for name, command in cli.COMMANDS.items()
+        for flag in command.options
+        if flag.endswith(("-bound", "-budget"))
     }
 
 
 class TestNoDeadFlag:
     def test_every_bound_flag_has_a_case(self):
         assert _declared_bound_flags() == set(BOUND_FLAG_CASES)
+
+    def test_readme_bound_flag_table_matches(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` +\| (.+?) +\|$", readme, re.M)
+        documented = {name: set(re.findall(r"`(--[\w-]+)`", flags)) for name, flags in rows}
+        declared = {name: set() for name in cli.COMMANDS}
+        for name, flag in _declared_bound_flags():
+            declared[name].add(flag)
+        assert documented == declared
 
     @pytest.mark.parametrize("key", sorted(BOUND_FLAG_CASES))
     def test_flag_changes_the_result(self, capsys, key):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -56,9 +57,25 @@ class TestCayleyGroupConstruction:
 
     def test_first_failing_column_is_named(self):
         # every row is a permutation and 0 is a two-sided identity, but
-        # column 1 holds 1 twice
-        with pytest.raises(ValueError, match="column 1 is not a permutation"):
+        # column 1 holds 1 twice: the powers of 1 cycle through 2 and
+        # back without reaching the identity
+        with pytest.raises(ValueError, match="no power of element 1 is the identity"):
             gg.CayleyGroup.from_table(((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+
+    @pytest.mark.parametrize("n, count", [(3, 12), (4, 864)])
+    def test_every_small_table_with_permutation_rows(self, n, count):
+        # accepted are exactly the associative ones, and their columns
+        # are permutations too
+        tables = list(_tables_with_permutation_rows(n))
+        assert len(tables) == count
+        for table in tables:
+            try:
+                gg.CayleyGroup.from_table(table)
+                accepted = True
+            except ValueError:
+                accepted = False
+            columns_permute = all(sorted(c) == list(range(n)) for c in zip(*table))
+            assert accepted == (reference_is_associative(table) and columns_permute), table
 
     def test_rejects_rows_longer_than_the_order(self):
         # each row holds every element but repeats one, so it is no permutation
@@ -72,6 +89,15 @@ class TestCayleyGroupConstruction:
 
     def test_dump_format(self):
         assert dump_table(gg.cyclic_group(2)) == "2\n0 1\n1 0\n"
+
+
+def _tables_with_permutation_rows(n: int):
+    """Every n x n table whose rows are permutations of 0..n-1 and that
+    has a two-sided identity e: row e is the identity and row x maps e to x."""
+    for e in range(n):
+        choices = [[p for p in permutations(range(n)) if p[e] == x] for x in range(n)]
+        choices[e] = [tuple(range(n))]
+        yield from product(*choices)
 
 
 def _accepted(table) -> bool:
@@ -277,6 +303,14 @@ class TestSubgroups:
         assert as_group.order == 16
         full = gg.Subgroup(as_group, tuple(range(16)))
         assert gg.is_cyclic(full) == (True, 16)
+
+    def test_as_group_equals_from_table(self):
+        groups = [build() for build in NAMED_GROUPS.values()]
+        groups += [t.cayley() for t in iter_valid_triples(60)]
+        for group in groups:
+            for sub in gg.subgroups(group):
+                table = sub.as_group()
+                assert table == gg.CayleyGroup.from_table(table.table), sub.members
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
