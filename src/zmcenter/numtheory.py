@@ -253,9 +253,10 @@ def multiplicative_order(r: int, m: int) -> int:
 def geometric_sum_mod(r: int, u: int, m: int) -> int:
     """1 + r + ... + r^(u-1) mod m, with the empty sum (u = 0) equal to 0.
 
-    Divide-and-conquer on u: the sum over 2h terms factors as
-    (1 + r^h) * (sum over h terms), so the cost is O(log u) multiplications
-    regardless of how large u is.
+    One modular power, from the exact identity (r - 1) * [u]_r = r^u - 1:
+    r^u - 1 mod (r - 1)*m is (r - 1) * ([u]_r mod m), and dividing it by
+    r - 1 is exact.  Lifting r to r mod m + m keeps r - 1 >= 1 and changes
+    no term mod m.
     """
     if u < 0:
         raise ValueError(f"term count must be >= 0, got {u}")
@@ -263,16 +264,9 @@ def geometric_sum_mod(r: int, u: int, m: int) -> int:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if m == 1:
         return 0
-    r %= m
-    total = 0
-    if u % 2:
-        total = geometric_sum_mod(r, u - 1, m)
-        total = (1 + r * total) % m
-        return total
-    if u == 0:
-        return 0
-    half = geometric_sum_mod(r, u // 2, m)
-    return half * (1 + pow(r, u // 2, m)) % m
+    r = r % m + m
+    k = (r - 1) * m
+    return (pow(r, u, k) - 1) % k // (r - 1)
 
 
 def _check_power_of(q_pow: int, q: int) -> None:

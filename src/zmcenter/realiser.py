@@ -18,19 +18,18 @@ Verification:
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
     q^a.  On top of that, when the full product itself fits the bounds, its
-    subgroups are scanned directly.  All factor bounds are checked before
-    any Cayley table or forward comparison, so a refusal costs no scan and no
-    forward comparison.
+    subgroups are scanned directly.  The converse runs first: it checks
+    the decomposition, then every factor bound, before any Cayley table,
+    so a refusal costs no scan and no forward comparison.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
-from . import abscenter, genericgroup, schemas
+from . import abscenter, genericgroup
 from .config import Bounds, DEFAULT_BOUNDS
 from .errors import BoundExceededError, CertificateError
 from .numtheory import (
@@ -81,9 +80,6 @@ class RealiserCertificate:
             ],
         }
 
-    def to_json(self) -> str:
-        return schemas.to_json(self.as_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RealiserCertificate":
         if doc.get("schema") != 1:
@@ -97,10 +93,6 @@ class RealiserCertificate:
         )
         validate_certificate(cert)
         return cert
-
-    @classmethod
-    def from_json(cls, text: str) -> "RealiserCertificate":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _check_decomposition(
@@ -159,12 +151,9 @@ def validate_certificate(
             )
         check_presentation(f.p, f.q ** (2 * f.alpha), f.r)
     orders = [f.p * f.q ** (2 * f.alpha) for f in cert.factors]
-    for i in range(len(orders)):
-        for j in range(i + 1, len(orders)):
-            if math.gcd(orders[i], orders[j]) != 1:
-                raise CertificateError(
-                    f"factor orders {orders[i]} and {orders[j]} are not coprime"
-                )
+    # positive integers are pairwise coprime iff their lcm is their product
+    if math.lcm(*orders) != math.prod(orders):
+        raise CertificateError(f"factor orders {orders} are not pairwise coprime")
 
 
 def realise(N: int, prime_budget: int = DEFAULT_BOUNDS.prime_budget) -> RealiserCertificate:
@@ -303,9 +292,6 @@ class VerificationReport:
             }
         return doc
 
-    def to_json(self) -> str:
-        return schemas.to_json(self.as_json_dict())
-
 
 def verify_forward(
     cert: RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
@@ -374,9 +360,25 @@ def _scan_subgroups(
     return tuple(rows)
 
 
-def _scan_triples(cert: RealiserCertificate, bounds: Bounds) -> list[ZmTriple]:
-    """The factor triples, each checked against the table bound and then
-    the scan bounds; raises BoundExceededError for the first that fails."""
+def verify_converse(
+    cert: RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
+) -> tuple[tuple[ConverseFactorRow, ...], FullProductRow | None]:
+    """Exhaustive per-factor subgroup scans, plus a direct scan of the full
+    product group whenever it fits the bounds (the product-splitting step
+    then gets spot-checked, not just assumed).
+
+    The factors are checked against the factorization of N first
+    (CertificateError), then each against the table bound and the scan
+    bounds (BoundExceededError for the first that fails), all before any
+    Cayley table is built, so a refused certificate costs no scan.
+
+    A one-factor certificate reuses its factor scan as the full-product
+    scan: `genericgroup.direct_product` of one table is that table, and
+    the factor's target q^alpha is N, so a second scan would run the same
+    brute force on the same group against the same target.  Nothing the
+    check looks at is skipped.
+    """
+    _check_decomposition(cert)
     triples = cert.triples()
     for t in triples:
         t.check_table_bound(bounds.table)
@@ -385,27 +387,6 @@ def _scan_triples(cert: RealiserCertificate, bounds: Bounds) -> list[ZmTriple]:
                 f"factor {t} of order {t.order} exceeds the scan bounds "
                 f"(subgroups {bounds.subgroups}, aut {bounds.aut})"
             )
-    return triples
-
-
-def verify_converse(
-    cert: RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
-) -> tuple[tuple[ConverseFactorRow, ...], FullProductRow | None]:
-    """Exhaustive per-factor subgroup scans, plus a direct scan of the full
-    product group whenever it fits the bounds (the product-splitting step
-    then gets spot-checked, not just assumed).
-
-    Every factor is checked against the table bound and then the scan
-    bounds before any Cayley table is built, so a certificate with an
-    out-of-bound factor is refused without scanning the factors before it.
-
-    A one-factor certificate reuses its factor scan as the full-product
-    scan: `genericgroup.direct_product` of one table is that table, and
-    the factor's target q^alpha is N, so a second scan would run the same
-    brute force on the same group against the same target.  Nothing the
-    check looks at is skipped.
-    """
-    triples = _scan_triples(cert, bounds)
     groups = [t.cayley(bounds.table) for t in triples]
     factor_rows = []
     for i, (f, t, group) in enumerate(zip(cert.factors, triples, groups)):
@@ -450,18 +431,15 @@ def verify(
     converse: bool = False,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> VerificationReport:
-    """Forward verification, and the converse one when asked.  A converse
-    refusal comes before any forward comparison, but after the
-    decomposition check, so a malformed certificate still raises
-    CertificateError."""
-    if converse:
-        _check_decomposition(cert)
-        _scan_triples(cert, bounds)
-    forward = verify_forward(cert, bounds)
+    """Forward verification, and the converse one when asked.  The
+    converse runs first, so its decomposition check raises CertificateError
+    for a malformed certificate and its bound refusal comes before any
+    forward comparison."""
     converse_rows: tuple[ConverseFactorRow, ...] | None = None
     full_row: FullProductRow | None = None
     if converse:
         converse_rows, full_row = verify_converse(cert, bounds)
+    forward = verify_forward(cert, bounds)
     passed = all(r.passed for r in forward)
     if converse_rows is not None:
         passed = passed and all(r.passed for r in converse_rows) and full_row.passed

@@ -15,9 +15,10 @@ walking every element's powers to one walk per cyclic subgroup,
 per right coset, `automorphisms_bruteforce` moved from re-closing the
 whole partial map at every node to checking each new pair once, and
 `is_prime` moved from all twelve Miller-Rabin bases on every input to a
-gcd sieve and only the bases that the size of the input needs, and
+gcd sieve and only the bases that the size of the input needs,
 `abscenter.compare` moved from one `ZmTriple.power` per element of the
-span of b^(d*e) to stepping its exponent.  The
+span of b^(d*e) to stepping its exponent, and `geometric_sum_mod` moved
+from a divide-and-conquer recursion to one modular power.  The
 tests check the package against them; they are never used by the
 package itself.
 """
@@ -60,6 +61,23 @@ def reference_absolute_center_formula(
                     "parameter constraints are broken"
                 )
     return result
+
+
+def reference_geometric_sum_mod(r: int, u: int, m: int) -> int:
+    """1 + r + ... + r^(u-1) mod m by divide and conquer on u: the sum
+    over 2h terms factors as (1 + r^h) * (sum over h terms), and the sum
+    over u + 1 terms is 1 + r * (sum over u terms)."""
+    if u < 0:
+        raise ValueError(f"term count must be >= 0, got {u}")
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    if m == 1 or u == 0:
+        return 0
+    r %= m
+    if u % 2:
+        return (1 + r * reference_geometric_sum_mod(r, u - 1, m)) % m
+    half = reference_geometric_sum_mod(r, u // 2, m)
+    return half * (1 + pow(r, u // 2, m)) % m
 
 
 def _geo_table(t: ZmTriple) -> tuple[int, ...]:

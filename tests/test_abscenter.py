@@ -208,6 +208,38 @@ class TestOracle:
         fixed = abscenter.absolute_center_oracle(t, oracle_bound=t.order)
         assert read["units"] == 2 and fixed == {ZmElement(0, 0)}
 
+    def test_u_fold_stops_at_the_full_gcd(self, monkeypatch):
+        # gcd(n, y - 1 over all y) is gcd(n, lcm(d, 2)) for even n (every
+        # admissible y is odd) and d for odd n; a fold that stopped at d
+        # read every y whenever n is even and d odd
+        reads = []
+
+        def counting(t):
+            for y in real(t):
+                reads.append(y)
+                yield y
+
+        real = aut.valid_ys
+        monkeypatch.setattr(aut, "valid_ys", counting)
+        # L is the b^u with (n / 2d) | u and d | u: u = 0, 3*10^4 in
+        # ZM(7, 6*10^4, 2), u = 0, 10^6 in C_(2*10^6), and all six multiples
+        # of n / 6 = 2*3^11 in ZM(13, 4*3^12, 3)
+        big = {(7, 6 * 10**4, 2): 2, (1, 2 * 10**6, 1): 2, (13, 4 * 3**12, 3): 6}
+        for (m, n, r), size in big.items():
+            t = validate_triple(m, n, r)
+            reads.clear()
+            fixed = abscenter.absolute_center_oracle(t, oracle_bound=t.order)
+            assert len(reads) <= 4, (t, len(reads))
+            assert len(fixed) == size, t
+        # stopping early loses nothing: the values read already give the
+        # gcd over every admissible y
+        for t in [*iter_valid_triples(500), *(validate_triple(1, n, 1) for n in range(1, 501))]:
+            reads.clear()
+            abscenter.absolute_center_oracle(t)
+            assert reads, t
+            full = math.gcd(t.n, *(y - 1 for y in real(t)))
+            assert math.gcd(t.n, *(y - 1 for y in reads)) == full, t
+
 
 class TestCompare:
     def test_agreement_on_classic_fixtures(self, zm_5_16_2, zm_5_48_2):

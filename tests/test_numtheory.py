@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slow_reference import reference_factorize, reference_is_prime
+from slow_reference import (
+    reference_factorize,
+    reference_geometric_sum_mod,
+    reference_is_prime,
+)
 from zmcenter import numtheory
 from zmcenter.errors import BoundExceededError, SearchBudgetError
 from zmcenter.numtheory import (
@@ -302,6 +306,27 @@ class TestGeometricSumMod:
         lhs = (r - 1) * geometric_sum_mod(r, u, m) % m
         rhs = (pow(r, u, m) - 1) % m
         assert lhs == rhs
+
+    def test_matches_the_recursive_reference(self):
+        # far past the brute-force ranges: u up to 10^40, m up to 10^20,
+        # r = 0 and r = 1 (mod m), m = 1 and m = 2; at r = 1 (mod m),
+        # r - 1 has no inverse mod m
+        rng = random.Random(2026)
+        cases = []
+        for m in (1, 2, 3, 10**9 + 7, 2**64, 10**20):
+            for _ in range(40):
+                u = rng.randrange(10 ** rng.randrange(1, 41))
+                k = rng.randrange(4)
+                cases += [(rng.randrange(-m, 3 * m), u, m), (k * m, u, m), (k * m + 1, u, m)]
+        cases += [(r, 10**40, m) for r in (0, 1, 2, 10**20 - 1) for m in (1, 2, 10**20)]
+        for r, u, m in cases:
+            assert geometric_sum_mod(r, u, m) == reference_geometric_sum_mod(r, u, m), (r, u, m)
+
+    @pytest.mark.parametrize("r, u, m", [(2, -1, 5), (2, 3, 0), (2, 3, -4)])
+    def test_guards_match_the_reference(self, r, u, m):
+        for f in (geometric_sum_mod, reference_geometric_sum_mod):
+            with pytest.raises(ValueError):
+                f(r, u, m)
 
 
 class TestFindPrimeInProgression:

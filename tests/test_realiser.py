@@ -7,7 +7,7 @@ import types
 import pytest
 
 from slow_reference import reference_verify_forward
-from zmcenter import abscenter, cli, genericgroup, realiser
+from zmcenter import abscenter, cli, genericgroup, realiser, schemas
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError, TripleError
 from zmcenter.numtheory import factorize
@@ -114,10 +114,10 @@ class TestCertificateValidation:
     def test_json_roundtrip(self):
         for n in (1, 4, 12, 30):
             cert = realiser.realise(n)
-            text = cert.to_json()
-            again = realiser.RealiserCertificate.from_json(text)
+            text = schemas.to_json(cert.as_json_dict())
+            again = realiser.RealiserCertificate.from_json_dict(json.loads(text))
             assert again == cert
-            assert again.to_json() == text
+            assert schemas.to_json(again.as_json_dict()) == text
 
     def test_json_schema_field(self):
         doc = realiser.realise(12).as_json_dict()
@@ -179,18 +179,26 @@ class TestVerifyForward:
         big = [fr for row in rows for fr in row.factors if fr.triple.order > 2000]
         assert big and all(fr.oracle_order is None and fr.agree is None for fr in big)
 
-    def test_certificate_missing_a_factor_is_rejected(self):
+    def test_certificate_missing_a_factor_is_rejected(self, monkeypatch):
         # the q = 2 witness of realise(12) is valid on its own, but without
-        # the q = 3 witness the divisors 3, 6 and 12 would get no row
+        # the q = 3 witness the divisors 3, 6 and 12 would get no row, and
+        # the converse would scan only the factor it was given
         cert = realiser.realise(12)
         partial = realiser.RealiserCertificate(N=12, factors=cert.factors[:1])
         with pytest.raises(CertificateError, match="decomposition"):
             realiser.verify_forward(partial)
+        built = []
+        monkeypatch.setattr(ZmTriple, "cayley", lambda t, *a, **k: built.append(t))
+        with pytest.raises(CertificateError, match="decomposition"):
+            realiser.verify_converse(partial)
         with pytest.raises(CertificateError, match="decomposition"):
             realiser.verify(partial)
         # before the converse scan-bound refusal, which would trip first
         with pytest.raises(CertificateError, match="decomposition"):
             realiser.verify(partial, converse=True, bounds=Bounds(aut=10))
+        with pytest.raises(CertificateError, match="decomposition"):
+            realiser.verify(partial, converse=True)
+        assert built == []
 
     @pytest.mark.parametrize("n", [1, 2, 12, 30, 720, 5040, 720720])
     def test_matches_unmemoised_reference(self, n):
@@ -379,7 +387,7 @@ class TestVerifyReport:
         assert doc["schema"] == 1 and doc["pass"] is True
         assert len(doc["forward_results"]) == 6
         assert len(doc["converse_results"]) == 2
-        text = report.to_json()
+        text = schemas.to_json(doc)
         assert json.loads(text) == doc
 
     def test_forward_only_report_has_null_converse(self):
