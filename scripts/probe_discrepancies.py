@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Survey the unguaranteed regime: triples where some prime of n does not
 divide d.  For each, tabulate the classical automorphism count against the
-enforced enumeration, and the closed-form |L| against the fixed-point
-oracle, to map where (and by how much) the closed formulas drift.
+size of the enforced family, and the closed-form |L| against the
+fixed-point oracle, to map where (and by how much) the closed formulas
+drift.  Above the oracle bound (m*n > 2000) the oracle column reads
+"skipped", and only the automorphism count can show drift there.
 """
 
 import argparse
@@ -27,14 +29,16 @@ def main() -> int:
             continue
         total += 1
         counts = aut.aut_counts(t)
-        actual = len(aut.enumerate_family(t, "all"))
+        # the size of enumerate_family(t, "all"), without building it
+        actual = t.phi_m * t.m * sum(1 for _ in aut.valid_ys(t))
         cmp = abscenter.compare(t)
+        oracle = "skipped" if cmp.oracle_order is None else cmp.oracle_order
         mark = ""
-        if counts.aut != actual or cmp.agree is not True:
+        if counts.aut != actual or cmp.agree is False:
             drift += 1
             mark = "  <-"
         print(f"{str(t):>14} {counts.aut:>12} {actual:>11} "
-              f"{cmp.formula_order:>10} {cmp.oracle_order:>9}{mark}")
+              f"{cmp.formula_order:>10} {oracle:>9}{mark}")
     print(f"\n{total} unguaranteed triples with mn <= {args.max_order}; "
           f"{drift} with formula drift")
     return 0

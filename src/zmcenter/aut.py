@@ -50,10 +50,6 @@ def make_aut_triple(t: ZmTriple, x1: int, x2: int, y: int) -> AutTriple:
     return AutTriple(x1, x2, y)
 
 
-def identity_aut(t: ZmTriple) -> AutTriple:
-    return AutTriple(1 % t.m, 0, 1 % t.n)
-
-
 def apply(t: ZmTriple, alpha: AutTriple, g: ZmElement) -> ZmElement:
     return ZmElement(
         (alpha.y * g.u) % t.n,

@@ -67,11 +67,6 @@ class CayleyGroup:
                     y = next(y for y in range(n) if xa_row[y] != row[t[a][y]])
                     raise ValueError(f"associativity fails at ({x},{a},{y})")
 
-    # -- basic arithmetic ----------------------------------------------------
-
-    def inverse(self, i: int) -> int:
-        return self.table[i].index(self.identity_index)
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         """Every element's order.  One walk of the powers g, g^2, ... of

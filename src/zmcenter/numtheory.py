@@ -20,7 +20,6 @@ q^a is a positive power of that q; they certify no prime of N again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BoundExceededError, SearchBudgetError
 from .config import DEFAULT_BOUNDS
@@ -120,35 +119,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as (prime, exponent) pairs sorted by prime."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, a in self.pairs:
-            out *= p**a
-        return out
-
-    def exponent_of(self, q: int) -> int:
-        for p, a in self.pairs:
-            if p == q:
-                return a
-        return 0
-
-    def divisors(self) -> list[int]:
-        divs = [1]
-        for p, a in self.pairs:
-            divs = [d * p**k for d in divs for k in range(a + 1)]
-        return sorted(divs)
-
-
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization of 1 <= n, for n whose cofactors stay
-    below psi_12.
+    below psi_12, as (prime, exponent) pairs sorted by prime; () for n = 1.
 
     Trial division by the primes up to `_TRIAL_BOUND` first, stopping early
     once p * p > n.  A cofactor below 1031^2 (1031 = `_NEXT_PRIME`, the
@@ -188,7 +161,7 @@ def factorize(n: int) -> Factorization:
             else:
                 f = _pollard_brent(c)
                 pending += [f, c // f]
-    return Factorization(tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def _pollard_brent(n: int) -> int:
@@ -228,7 +201,7 @@ def _pollard_brent(n: int) -> int:
 def euler_phi(m: int) -> int:
     """Euler totient, computed from the factorization of m."""
     out = m
-    for p, _ in factorize(m).pairs:
+    for p, _ in factorize(m):
         out = out // p * (p - 1)
     return out
 
@@ -244,7 +217,7 @@ def multiplicative_order(r: int, m: int) -> int:
         raise ValueError(f"order of {r} mod {m} undefined: gcd is {math.gcd(r, m)}")
     # the order divides phi(m); strip primes that are not needed
     k = euler_phi(m)
-    for p, _ in factorize(k).pairs:
+    for p, _ in factorize(k):
         while k % p == 0 and pow(r, k // p, m) == 1:
             k //= p
     return k

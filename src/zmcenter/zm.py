@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 from . import genericgroup
 from .config import DEFAULT_BOUNDS
 from .errors import BoundExceededError, TripleError
-from .numtheory import euler_phi, geometric_sum_mod, multiplicative_order
+from .numtheory import euler_phi, multiplicative_order
 # unused here; perfbench's tests pin `zm.factorize is numtheory.factorize`
 from .numtheory import factorize  # noqa: F401
 
@@ -65,10 +65,6 @@ class ZmTriple:
 
     # -- element arithmetic ------------------------------------------------
 
-    @property
-    def identity(self) -> ZmElement:
-        return ZmElement(0, 0)
-
     def element(self, u: int, v: int) -> ZmElement:
         return ZmElement(u % self.n, v % self.m)
 
@@ -91,16 +87,6 @@ class ZmTriple:
     def inverse(self, g: ZmElement) -> ZmElement:
         r_to_minus_u = pow(self.r, (self.n - g.u) % self.n, self.m)
         return ZmElement((-g.u) % self.n, (-g.v * r_to_minus_u) % self.m)
-
-    def power(self, g: ZmElement, k: int) -> ZmElement:
-        """g^k via the closed form (b^u a^v)^k = b^(uk) a^(v * [k]_{r^u})."""
-        if k < 0:
-            return self.power(self.inverse(g), -k)
-        base = pow(self.r, g.u, self.m)
-        return ZmElement(
-            (g.u * k) % self.n,
-            (g.v * geometric_sum_mod(base, k, self.m)) % self.m,
-        )
 
     # -- structural subgroups ----------------------------------------------
 

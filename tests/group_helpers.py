@@ -1,7 +1,8 @@
-"""Group operations only the tests need: composing and inverting
-automorphism triples, element orders and the derived subgroup of a
-ZM-group, and the center of a Cayley table.  The package never calls
-them, so they live beside the tests.
+"""Group operations only the tests need: the identity automorphism,
+composing and inverting automorphism triples, powers, element orders and
+the derived subgroup of a ZM-group, the center of a Cayley table, and the
+divisors of an integer.  The package never calls them, so they live
+beside the tests.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from zmcenter.errors import AutParamError
 from zmcenter.genericgroup import CayleyGroup, Subgroup
 from zmcenter.numtheory import factorize, geometric_sum_mod
 from zmcenter.zm import ZmElement, ZmTriple
+
+
+def identity_aut(t: ZmTriple) -> aut.AutTriple:
+    return aut.AutTriple(1 % t.m, 0, 1 % t.n)
 
 
 def compose(t: ZmTriple, alpha: aut.AutTriple, beta: aut.AutTriple) -> aut.AutTriple:
@@ -35,9 +40,25 @@ def invert(t: ZmTriple, alpha: aut.AutTriple) -> aut.AutTriple:
     y_inv = pow(alpha.y, -1, t.n) if t.n > 1 else 0
     x2 = (-x1_inv * alpha.x2 * geometric_sum_mod(t.r, y_inv, t.m)) % t.m
     beta = aut.make_aut_triple(t, x1_inv, x2, y_inv)
-    if compose(t, alpha, beta) != aut.identity_aut(t):
+    if compose(t, alpha, beta) != identity_aut(t):
         raise RuntimeError(f"inverse construction failed for {alpha} on {t}")
     return beta
+
+
+def power(t: ZmTriple, g: ZmElement, k: int) -> ZmElement:
+    """g^k via the closed form (b^u a^v)^k = b^(uk) a^(v * [k]_{r^u})."""
+    if k < 0:
+        return power(t, t.inverse(g), -k)
+    base = pow(t.r, g.u, t.m)
+    return ZmElement((g.u * k) % t.n, (g.v * geometric_sum_mod(base, k, t.m)) % t.m)
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in ascending order."""
+    divs = [1]
+    for p, a in factorize(n):
+        divs = [d * p**k for d in divs for k in range(a + 1)]
+    return sorted(divs)
 
 
 def element_order(t: ZmTriple, g: ZmElement) -> int:
@@ -47,10 +68,10 @@ def element_order(t: ZmTriple, g: ZmElement) -> int:
     factors; each probe is one closed-form power, never a walk.
     """
     k = t.m * t.n
-    primes = {p for p, _ in factorize(t.m).pairs}
-    primes |= {p for p, _ in factorize(t.n).pairs}
+    primes = {p for p, _ in factorize(t.m)}
+    primes |= {p for p, _ in factorize(t.n)}
     for p in sorted(primes):
-        while k % p == 0 and t.power(g, k // p) == t.identity:
+        while k % p == 0 and power(t, g, k // p) == ZmElement(0, 0):
             k //= p
     return k
 

@@ -16,7 +16,7 @@ per right coset, `automorphisms_bruteforce` moved from re-closing the
 whole partial map at every node to checking each new pair once, and
 `is_prime` moved from all twelve Miller-Rabin bases on every input to a
 gcd sieve and only the bases that the size of the input needs,
-`abscenter.compare` moved from one `ZmTriple.power` per element of the
+`abscenter.compare` moved from one `power` per element of the
 span of b^(d*e) to stepping its exponent, and `geometric_sum_mod` moved
 from a divide-and-conquer recursion to one modular power.  The
 tests check the package against them; they are never used by the
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 
+from group_helpers import divisors, identity_aut, power
 from zmcenter import abscenter, aut, realiser
 from zmcenter.aut import AutTriple
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
@@ -35,8 +36,6 @@ from zmcenter.genericgroup import CayleyGroup, Subgroup, cyclic_group
 from zmcenter.numtheory import (
     _MR_BASES,
     _PSI_12,
-    Factorization,
-    factorize,
     geometric_sum_mod,
     is_prime,
 )
@@ -121,7 +120,7 @@ def family_generators(t: ZmTriple) -> list[AutTriple]:
     gens = [AutTriple(g, 0, one_n) for g in _greedy_generators(aut.units(t), t.m)]
     gens.append(AutTriple(one_m, one_m, one_n))
     gens += [AutTriple(one_m, 0, y) for y in _greedy_generators(aut.valid_ys(t), t.n)]
-    identity = aut.identity_aut(t)
+    identity = identity_aut(t)
     return [a for a in gens if a != identity]
 
 
@@ -138,7 +137,7 @@ def reference_absolute_center_oracle(
         raise BoundExceededError(
             f"{t} has order {t.order} > oracle bound {oracle_bound}"
         )
-    identity = aut.identity_aut(t)
+    identity = identity_aut(t)
     family = [a for a in aut.enumerate_family(t, "all") if a != identity]
     geo = _geo_table(t)
     m, n = t.m, t.n
@@ -156,12 +155,12 @@ def reference_absolute_center_oracle(
 
 def reference_agree(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> bool | None:
     """`compare`'s verdict, with the span of b^(d*e) built by one
-    `t.power` per element: whether the oracle's fixed points are exactly
+    `power` per element: whether the oracle's fixed points are exactly
     that span, or None when the oracle is out of bounds."""
     if t.order > oracle_bound:
         return None
     formula = abscenter.absolute_center_formula(t)
-    span = {t.power(formula.generator, k) for k in range(formula.order)}
+    span = {power(t, formula.generator, k) for k in range(formula.order)}
     return abscenter.absolute_center_oracle(t, oracle_bound) == span
 
 
@@ -242,7 +241,7 @@ def reference_verify_forward(
     field by field rather than by `abscenter.compare`, and coprimality
     tested pair by pair."""
     rows = []
-    for n1 in factorize(cert.N).divisors():
+    for n1 in divisors(cert.N):
         factor_rows = []
         for t in realiser.subgroup_for_divisor(cert, n1):
             formula = reference_absolute_center_formula(t, bounds.oracle)
@@ -251,7 +250,7 @@ def reference_verify_forward(
             if t.order <= bounds.oracle:
                 oracle = abscenter.absolute_center_oracle(t, bounds.oracle)
                 oracle_order = len(oracle)
-                span = {t.power(formula.generator, k) for k in range(formula.order)}
+                span = {power(t, formula.generator, k) for k in range(formula.order)}
                 agree = oracle == span
             factor_rows.append(
                 abscenter.AbsCenterComparison(
@@ -316,7 +315,7 @@ def reference_closure(
     return frozenset(members)
 
 
-def reference_factorize(n: int) -> Factorization:
+def reference_factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization by trial division.
 
     A primality test on the remaining cofactor short-circuits the common
@@ -349,7 +348,7 @@ def reference_factorize(n: int) -> Factorization:
     if n > 1:
         pairs.append((n, 1))
     pairs.sort()
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def reference_is_prime(n: int) -> bool:

@@ -9,10 +9,9 @@ import re
 import subprocess
 import sys
 
-import jsonschema
 import pytest
 
-from zmcenter import abscenter, aut, cli, genericgroup, numtheory, realiser, schemas, zm
+from zmcenter import abscenter, aut, cli, genericgroup, numtheory, realiser, zm
 from zmcenter.zm import ZmTriple
 
 
@@ -34,7 +33,6 @@ class TestAbscenter:
         code, out, _ = run(capsys, "abscenter", "5", "48", "2", "--json")
         assert code == 0
         doc = json.loads(out)
-        jsonschema.validate(doc, schemas.ABSCENTER_SCHEMA)
         assert doc["d"] == 4 and doc["e"] == 3
         assert doc["formula_order"] == 4 and doc["center_order"] == 12
         assert doc["equals_center"] is False
@@ -96,7 +94,6 @@ class TestRealise:
         code, out, _ = run(capsys, "realise", "12", "--json")
         assert code == 0
         doc = json.loads(out)
-        jsonschema.validate(doc, schemas.CERTIFICATE_SCHEMA)
         assert doc["N"] == 12
 
     def test_byte_identical_json(self, capsys):
@@ -161,7 +158,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "12", "--converse", "--json")
         assert code == 0
         doc = json.loads(out)
-        jsonschema.validate(doc, schemas.REPORT_SCHEMA)
         assert doc["pass"] is True
         assert doc["converse_results"] is not None
 
@@ -630,14 +626,29 @@ def test_module_entry_point_reads_sys_argv(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
 
 
-def test_probe_discrepancies_script_runs():
+def _probe_discrepancies(max_order: int) -> subprocess.CompletedProcess:
     root = pathlib.Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "probe_discrepancies.py"), "--max-order", "60"],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "probe_discrepancies.py"), "--max-order", str(max_order)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         timeout=120,
     )
+
+
+def test_probe_discrepancies_script_runs():
+    proc = _probe_discrepancies(60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("\n10 unguaranteed triples with mn <= 60; 10 with formula drift\n")
+
+
+def test_probe_discrepancies_runs_above_the_oracle_bound():
+    # the 274 triples with 2000 < mn <= 2100 have no oracle column; each
+    # still drifts, because the classical count overcounts the family
+    proc = _probe_discrepancies(2100)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(
+        "\n3640 unguaranteed triples with mn <= 2100; 3640 with formula drift\n"
+    )
+    assert sum(" skipped  <-" in line for line in proc.stdout.splitlines()) == 274

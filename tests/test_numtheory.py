@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from group_helpers import divisors
 from slow_reference import (
     reference_factorize,
     reference_geometric_sum_mod,
@@ -15,7 +16,6 @@ from zmcenter.errors import BoundExceededError, SearchBudgetError
 from zmcenter.numtheory import (
     _MR_BASES,
     _PSI,
-    Factorization,
     euler_phi,
     factorize,
     find_element_of_order,
@@ -138,9 +138,9 @@ class TestIsPrime:
 
 class TestFactorize:
     def test_known_values(self):
-        assert factorize(1) == Factorization(())
-        assert factorize(12).pairs == ((2, 2), (3, 1))
-        assert factorize(5040).pairs == ((2, 4), (3, 2), (5, 1), (7, 1))
+        assert factorize(1) == ()
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(5040) == ((2, 4), (3, 2), (5, 1), (7, 1))
 
     def test_refuses_cofactor_just_above_psi12(self):
         # no prime factor below the trial bound, so the whole n is the
@@ -153,17 +153,17 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_and_primality(self, n):
         fact = factorize(n)
-        assert fact.value == n
-        primes = [p for p, _ in fact.pairs]
+        assert math.prod(p**a for p, a in fact) == n
+        primes = [p for p, _ in fact]
         assert primes == sorted(primes)
         assert len(set(primes)) == len(primes)
-        for p, a in fact.pairs:
+        for p, a in fact:
             assert is_prime(p)
             assert a >= 1
 
     def test_large_prime_cofactor(self):
         p = 2**61 - 1
-        assert factorize(6 * p).pairs == ((2, 1), (3, 1), (p, 1))
+        assert factorize(6 * p) == ((2, 1), (3, 1), (p, 1))
 
     def test_matches_reference_up_to_20000(self):
         for n in range(1, 20_001):
@@ -192,13 +192,13 @@ class TestFactorize:
             return real(n)
 
         monkeypatch.setattr(numtheory, "is_prime", is_prime_counted)
-        assert factorize(37619 * 500009).pairs == ((37619, 1), (500009, 1))
+        assert factorize(37619 * 500009) == ((37619, 1), (500009, 1))
         assert len(calls) <= 5
 
     def test_product_of_two_primes_near_2_31(self):
         p, q = 2147483629, 2147483647  # the two largest primes below 2^31
-        assert factorize(p * q).pairs == ((p, 1), (q, 1))
-        assert factorize(q * q).pairs == ((q, 2),)
+        assert factorize(p * q) == ((p, 1), (q, 1))
+        assert factorize(q * q) == ((q, 2),)
 
     def test_cofactor_at_certified_limit_is_a_bound_error(self):
         psi12 = 318665857834031151167461
@@ -207,7 +207,7 @@ class TestFactorize:
         with pytest.raises(BoundExceededError, match="certified range"):
             # 2^79 - 1 has no prime factor below 2^10 and is past psi_12
             factorize(6 * (2**79 - 1))
-        assert factorize(2**100).pairs == ((2, 100),)
+        assert factorize(2**100) == ((2, 100),)
 
     def test_trial_primes_are_the_primes_up_to_the_bound(self):
         bound = numtheory._TRIAL_BOUND
@@ -236,8 +236,8 @@ class TestFactorize:
             assert factorize(n) == reference_factorize(n), n
 
     def test_divisors(self):
-        assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
-        assert factorize(1).divisors() == [1]
+        assert divisors(12) == [1, 2, 3, 4, 6, 12]
+        assert divisors(1) == [1]
 
 
 class TestEulerPhi:
@@ -368,7 +368,7 @@ class TestFindPrimeInProgression:
     @given(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25, 27, 121]))
     def test_postconditions(self, q_pow):
         exclusions = {2, 3, 5, 7}
-        q = factorize(q_pow).pairs[0][0]
+        q = factorize(q_pow)[0][0]
         p = find_prime_in_progression(q_pow, exclusions, q=q)
         assert p % q_pow == 1
         assert is_prime(p)

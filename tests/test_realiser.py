@@ -6,11 +6,11 @@ import types
 
 import pytest
 
+from group_helpers import divisors
 from slow_reference import reference_verify_forward
 from zmcenter import abscenter, cli, genericgroup, realiser, schemas
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError, TripleError
-from zmcenter.numtheory import factorize
 from zmcenter.zm import ZmTriple
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -76,6 +76,28 @@ class TestCertificateValidation:
         bad = realiser.FactorWitness(q=2, alpha=2, p=2, r=1)
         with pytest.raises(CertificateError):
             realiser.validate_certificate(realiser.RealiserCertificate(N=4, factors=(bad,)))
+
+    @pytest.mark.parametrize(
+        "N, factors, message",
+        [
+            # two equal p: 7 is 1 mod 2 and 1 mod 3
+            (6, [(2, 1, 7, 6), (3, 1, 7, 2)], "auxiliary primes are not distinct"),
+            # two equal q
+            (4, [(2, 1, 3, 2), (2, 1, 5, 4)], "do not match the decomposition"),
+            # a p equal to a q: 3 is 1 mod 2 and divides N
+            (6, [(2, 1, 3, 2), (3, 1, 7, 2)], r"collide with \[3\]"),
+        ],
+    )
+    def test_factor_orders_sharing_a_prime_rejected_by_an_earlier_check(
+        self, N, factors, message
+    ):
+        # the three ways two orders p * q^(2 alpha) can share a prime; each
+        # is refused before coprimality would be in question
+        witnesses = tuple(realiser.FactorWitness(*f) for f in factors)
+        orders = [f.p * f.q ** (2 * f.alpha) for f in witnesses]
+        assert math.gcd(*orders) > 1
+        with pytest.raises(CertificateError, match=message):
+            realiser.validate_certificate(realiser.RealiserCertificate(N=N, factors=witnesses))
 
     def test_wrong_order_rejected(self):
         bad = realiser.FactorWitness(q=2, alpha=2, p=5, r=4)  # o_5(4) = 2, not 4
@@ -161,9 +183,9 @@ class TestVerifyForward:
         for n in (1, 4, 12):
             cert = realiser.realise(n)
             rows = realiser.verify_forward(cert)
-            assert [row.divisor for row in rows] == factorize(n).divisors()
+            assert [row.divisor for row in rows] == divisors(n)
             assert all(row.passed for row in rows)
-            assert {row.formula_product for row in rows} == set(factorize(n).divisors())
+            assert {row.formula_product for row in rows} == set(divisors(n))
 
     def test_oracle_cross_checks_ran_for_small_factors(self):
         rows = realiser.verify_forward(realiser.realise(4))
