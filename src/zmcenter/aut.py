@@ -88,6 +88,12 @@ def valid_ys(t: ZmTriple) -> Iterator[int]:
     return (y for y in range(1, t.n, t.d) if math.gcd(y, t.n) == 1)
 
 
+def family_size(t: ZmTriple) -> int:
+    """phi(m) * m * |Y|, the length of `enumerate_family(t, "all")`,
+    computed without building it."""
+    return t.phi_m * t.m * sum(1 for _ in valid_ys(t))
+
+
 def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
     """The exact parameter set of one family, sorted for reproducibility.
 

@@ -180,8 +180,7 @@ def _cmd_oracle_check(args) -> int:
     cmp = abscenter.compare(t, bounds.oracle)
     # refuse before enumerating a family that no comparison would use
     _refuse_above_oracle_bound(t, bounds)
-    # the size of enumerate_family(t, "all"), the product of the lists it multiplies
-    enumerated = t.phi_m * t.m * sum(1 for _ in aut.valid_ys(t))
+    enumerated = aut.family_size(t)
     formula_aut = aut.aut_counts(t).aut
     brute_aut: int | None = None
     aut_tables_agree: bool | None = None

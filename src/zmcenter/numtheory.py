@@ -14,7 +14,8 @@ what is left; every factor rho returns is proven prime before it is kept.
 
 The two searches of the construction take the prime q of q^a from the
 caller, which has already certified it by factoring N, and check only that
-q^a is a positive power of that q; they certify no prime of N again.
+q^a is a positive power of that q; they certify no prime of N again.  The
+element search takes the hunt's prime p as certified in the same way.
 """
 
 from __future__ import annotations
@@ -288,15 +289,12 @@ def find_prime_in_progression(
 def find_element_of_order(p: int, q_pow: int, *, q: int) -> int:
     """Some r with multiplicative order exactly q_pow modulo the prime p.
 
-    q_pow must be 1 or a positive power of q, the prime the caller has
-    already certified; the guard checks only that.  p itself is still
-    certified here, independently of the hunt that found it.
+    p is the prime the caller certified, and so is q; q_pow must be 1 or
+    a positive power of q dividing p - 1, and the guards check only that.
     Scans bases g = 2, 3, ... and takes r = g^((p-1)/q_pow); r then has
     order dividing q_pow, and order exactly q_pow iff r^(q_pow/q) != 1.
     Ascending g keeps the result reproducible across runs.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if q_pow == 1:
         return 1
     _check_power_of(q_pow, q)

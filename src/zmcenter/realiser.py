@@ -19,15 +19,15 @@ Verification:
     subgroup's brute-force absolute center must be cyclic of order dividing
     q^a.  On top of that, when the full product itself fits the bounds, its
     subgroups are scanned directly.  The converse runs first: it checks
-    the decomposition, then every factor bound, before any Cayley table,
-    so a refusal costs no scan and no forward comparison.
+    every factor bound before any Cayley table, so a refusal costs no scan
+    and no forward comparison.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from . import abscenter, genericgroup
 from .config import Bounds, DEFAULT_BOUNDS
@@ -65,8 +65,15 @@ class FactorWitness:
 
 @dataclass(frozen=True)
 class RealiserCertificate:
+    """Construction runs `validate_certificate(self, decomposition)`, so
+    every instance is checked and the verifiers take it as given."""
+
     N: int
     factors: tuple[FactorWitness, ...]
+    decomposition: InitVar[tuple[tuple[int, int], ...] | None] = None
+
+    def __post_init__(self, decomposition: tuple[tuple[int, int], ...] | None) -> None:
+        validate_certificate(self, decomposition)
 
     def triples(self) -> list[ZmTriple]:
         return [f.triple() for f in self.factors]
@@ -84,39 +91,24 @@ class RealiserCertificate:
     def from_json_dict(cls, doc: dict) -> "RealiserCertificate":
         if doc.get("schema") != 1:
             raise CertificateError(f"unsupported certificate schema: {doc.get('schema')!r}")
-        cert = cls(
+        return cls(
             N=doc["N"],
             factors=tuple(
                 FactorWitness(q=f["q"], alpha=f["alpha"], p=f["p"], r=f["r"])
                 for f in doc["factors"]
             ),
         )
-        validate_certificate(cert)
-        return cert
-
-
-def _check_decomposition(
-    cert: RealiserCertificate, expected: tuple[tuple[int, int], ...] | None = None
-) -> None:
-    """The factors must be the prime powers of N in ascending q; `expected`
-    is `factorize(cert.N)` when the caller already holds it."""
-    if expected is None:
-        expected = factorize(cert.N)
-    got = tuple((f.q, f.alpha) for f in cert.factors)
-    if got != expected:
-        raise CertificateError(
-            f"factors {got} do not match the decomposition {expected} of {cert.N}"
-        )
 
 
 def validate_certificate(
     cert: RealiserCertificate, decomposition: tuple[tuple[int, int], ...] | None = None
 ) -> None:
-    """Recheck every structural invariant; raises CertificateError, or
+    """Check every structural invariant; raises CertificateError, or
     TripleError for a bad factor presentation, or BoundExceededError when
     a cofactor of N or an auxiliary prime is outside the certified range
     of the primality test (below psi_12).
 
+    The factors must be the prime powers of N in ascending q;
     `decomposition` is `factorize(cert.N)` when the caller has just
     computed it (`realise` does); without it N is factored here, so a
     loaded certificate is checked from scratch.  Each factor's presentation
@@ -132,7 +124,13 @@ def validate_certificate(
     """
     if cert.N < 1:
         raise CertificateError(f"N must be >= 1, got {cert.N}")
-    _check_decomposition(cert, decomposition)
+    if decomposition is None:
+        decomposition = factorize(cert.N)
+    got = tuple((f.q, f.alpha) for f in cert.factors)
+    if got != decomposition:
+        raise CertificateError(
+            f"factors {got} do not match the decomposition {decomposition} of {cert.N}"
+        )
     qs = {f.q for f in cert.factors}
     ps = [f.p for f in cert.factors]
     if len(set(ps)) != len(ps):
@@ -174,9 +172,7 @@ def realise(N: int, prime_budget: int = DEFAULT_BOUNDS.prime_budget) -> Realiser
         exclusions.add(p)
         r = find_element_of_order(p, q_pow, q=q)
         factors.append(FactorWitness(q=q, alpha=alpha, p=p, r=r))
-    cert = RealiserCertificate(N=N, factors=tuple(factors))
-    validate_certificate(cert, decomposition)
-    return cert
+    return RealiserCertificate(N, tuple(factors), decomposition)
 
 
 def subgroup_for_divisor(cert: RealiserCertificate, n1: int) -> list[ZmTriple]:
@@ -306,10 +302,8 @@ def verify_forward(
     A factor triple depends only on the exponent beta of its q in N1, so
     each factor's `abscenter.compare` records are computed once per beta,
     and the rows hold those records themselves, shared by every divisor
-    with that beta.  The factors are checked against the factorization of
-    N first (CertificateError), so every divisor of N gets a row.
+    with that beta.
     """
-    _check_decomposition(cert)
     comparisons = [
         [abscenter.compare(f.divisor_triple(beta), bounds.oracle) for beta in range(f.alpha + 1)]
         for f in cert.factors
@@ -370,10 +364,9 @@ def verify_converse(
     product group whenever it fits the bounds (the product-splitting step
     then gets spot-checked, not just assumed).
 
-    The factors are checked against the factorization of N first
-    (CertificateError), then each against the table bound and the scan
-    bounds (BoundExceededError for the first that fails), all before any
-    Cayley table is built, so a refused certificate costs no scan.
+    Each factor is checked against the table bound and the scan bounds
+    (BoundExceededError for the first that fails) before any Cayley table
+    is built, so a refused certificate costs no scan.
 
     A one-factor certificate reuses its factor scan as the full-product
     scan: `genericgroup.direct_product` of one table is that table, and
@@ -381,7 +374,6 @@ def verify_converse(
     brute force on the same group against the same target.  Nothing the
     check looks at is skipped.
     """
-    _check_decomposition(cert)
     triples = cert.triples()
     for t in triples:
         t.check_table_bound(bounds.table)
@@ -435,9 +427,8 @@ def verify(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> VerificationReport:
     """Forward verification, and the converse one when asked.  The
-    converse runs first, so its decomposition check raises CertificateError
-    for a malformed certificate and its bound refusal comes before any
-    forward comparison."""
+    converse runs first, so its bound refusal comes before any forward
+    comparison."""
     converse_rows: tuple[ConverseFactorRow, ...] | None = None
     full_row: FullProductRow | None = None
     if converse:

@@ -143,9 +143,24 @@ class TestRealise:
         code, out, _ = run(capsys, "realise", str(n), "--json")
         assert code == 0
         assert json.loads(out)["N"] == n
-        # factorize(N) certifies N; the hunt, the element search and the
-        # certificate check test only candidates 1 + t*N
+        # factorize(N) certifies N; the hunt and the certificate check test
+        # only candidates 1 + t*N, and each certifies the auxiliary p once
         assert calls.count(n) == 1
+        (factor,) = json.loads(out)["factors"]
+        assert calls.count(factor["p"]) == 2
+
+    def test_certificate_is_checked_once(self, capsys, monkeypatch):
+        calls = []
+        real = realiser.validate_certificate
+
+        def validate_certificate(*args, **kwargs):
+            calls.append(args[0].N)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(realiser, "validate_certificate", validate_certificate)
+        code, _, _ = run(capsys, "realise", "720720", "--json")
+        assert code == 0
+        assert calls == [720720]
 
 
 class TestVerify:
@@ -153,6 +168,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "12")
         assert code == 0
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "12", "--converse", "--json"), ("verify", "720720", "--json")]
+    )
+    def test_n_is_factored_once(self, capsys, monkeypatch, argv):
+        # the certificate is checked when realise builds it; the verifiers
+        # take its decomposition as given and factor N no more
+        calls = []
+        real = realiser.factorize
+
+        def factorize(n, *args, **kwargs):
+            calls.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(realiser, "factorize", factorize)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls == [int(argv[1])]
 
     def test_converse_json_schema(self, capsys):
         code, out, _ = run(capsys, "verify", "12", "--converse", "--json")
@@ -250,7 +283,8 @@ class TestOracleCheck:
         for triple in ("5 16 2", "7 6 2", "7 9 2"):
             t = zm.validate_triple(*map(int, triple.split()))
             _, out, _ = run(capsys, "oracle-check", *triple.split(), "--json")
-            assert json.loads(out)["aut_enumerated"] == len(aut.enumerate_family(t, "all"))
+            size = len(aut.enumerate_family(t, "all"))
+            assert json.loads(out)["aut_enumerated"] == aut.family_size(t) == size
 
     def test_one_bruteforce_automorphism_search(self, capsys, monkeypatch):
         calls = []
@@ -640,7 +674,12 @@ def _probe_discrepancies(max_order: int) -> subprocess.CompletedProcess:
 def test_probe_discrepancies_script_runs():
     proc = _probe_discrepancies(60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("\n10 unguaranteed triples with mn <= 60; 10 with formula drift\n")
+    # the classical |Aut| overcounts every unguaranteed triple; |L| drifts
+    # on two of them
+    assert proc.stdout.endswith(
+        "\n10 unguaranteed triples with mn <= 60; "
+        "10 with |Aut| drift, 2 with |L| drift, 0 oracles skipped\n"
+    )
 
 
 def test_probe_discrepancies_runs_above_the_oracle_bound():
@@ -649,6 +688,7 @@ def test_probe_discrepancies_runs_above_the_oracle_bound():
     proc = _probe_discrepancies(2100)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(
-        "\n3640 unguaranteed triples with mn <= 2100; 3640 with formula drift\n"
+        "\n3640 unguaranteed triples with mn <= 2100; "
+        "3640 with |Aut| drift, 740 with |L| drift, 274 oracles skipped\n"
     )
     assert sum(" skipped  <-" in line for line in proc.stdout.splitlines()) == 274

@@ -389,8 +389,6 @@ class TestFindElementOfOrder:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            find_element_of_order(10, 3, q=3)  # not prime
-        with pytest.raises(ValueError):
             find_element_of_order(7, 4, q=2)  # 4 does not divide 6
         with pytest.raises(ValueError, match="not a positive power"):
             find_element_of_order(13, 4, q=3)  # 4 is not a power of 3

@@ -11,7 +11,7 @@ from slow_reference import reference_verify_forward
 from zmcenter import abscenter, cli, genericgroup, realiser, schemas
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError, TripleError
-from zmcenter.zm import ZmTriple
+from zmcenter.zm import ZmTriple, check_presentation
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -98,6 +98,15 @@ class TestCertificateValidation:
         assert math.gcd(*orders) > 1
         with pytest.raises(CertificateError, match=message):
             realiser.validate_certificate(realiser.RealiserCertificate(N=N, factors=witnesses))
+
+    def test_composite_auxiliary_prime_rejected(self):
+        # 8 has order 2 mod 9 and ZM(9, 4, 8) is a valid presentation, so
+        # only the primality test, the one certification of p outside the
+        # prime hunt, rejects this witness
+        bad = realiser.FactorWitness(q=2, alpha=1, p=9, r=8)
+        check_presentation(9, 4, 8)
+        with pytest.raises(CertificateError, match="9 is not prime"):
+            realiser.RealiserCertificate(N=2, factors=(bad,))
 
     def test_wrong_order_rejected(self):
         bad = realiser.FactorWitness(q=2, alpha=2, p=5, r=4)  # o_5(4) = 2, not 4
@@ -204,22 +213,13 @@ class TestVerifyForward:
     def test_certificate_missing_a_factor_is_rejected(self, monkeypatch):
         # the q = 2 witness of realise(12) is valid on its own, but without
         # the q = 3 witness the divisors 3, 6 and 12 would get no row, and
-        # the converse would scan only the factor it was given
-        cert = realiser.realise(12)
-        partial = realiser.RealiserCertificate(N=12, factors=cert.factors[:1])
-        with pytest.raises(CertificateError, match="decomposition"):
-            realiser.verify_forward(partial)
+        # the converse would scan only the factor it was given; such a
+        # certificate cannot be built, so no verifier ever sees one
+        factors = realiser.realise(12).factors[:1]
         built = []
         monkeypatch.setattr(ZmTriple, "cayley", lambda t, *a, **k: built.append(t))
         with pytest.raises(CertificateError, match="decomposition"):
-            realiser.verify_converse(partial)
-        with pytest.raises(CertificateError, match="decomposition"):
-            realiser.verify(partial)
-        # before the converse scan-bound refusal, which would trip first
-        with pytest.raises(CertificateError, match="decomposition"):
-            realiser.verify(partial, converse=True, bounds=Bounds(aut=10))
-        with pytest.raises(CertificateError, match="decomposition"):
-            realiser.verify(partial, converse=True)
+            realiser.RealiserCertificate(N=12, factors=factors)
         assert built == []
 
     @pytest.mark.parametrize("n", [1, 2, 12, 30, 720, 5040, 720720])
