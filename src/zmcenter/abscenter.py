@@ -162,21 +162,6 @@ class AbsCenterComparison:
     oracle_order: int | None   # None when the scan is out of bounds
     agree: bool | None         # None when the oracle did not run
 
-    def as_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "triple": self.triple.as_json_dict(),
-            "d": self.d,
-            "e": self.e,
-            "formula_order": self.formula_order,
-            "generator": f"b^{self.formula_generator.u}",
-            "center_order": self.center_order,
-            "equals_center": self.formula_order == self.center_order,
-            "oracle_order": self.oracle_order,
-            "agree": self.agree,
-            "regime_guaranteed": self.regime_guaranteed,
-        }
-
 
 def compare(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> AbsCenterComparison:
     """Run the closed form, run the oracle if it fits, compare exactly.

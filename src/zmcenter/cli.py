@@ -19,10 +19,9 @@ import argparse
 import sys
 from typing import Callable, NamedTuple
 
-from . import abscenter, aut, genericgroup, realiser
+from . import abscenter, aut, genericgroup, realiser, schemas
 from .config import Bounds, DEFAULT_BOUNDS
 from .errors import BoundExceededError, SearchBudgetError, ZmcenterError
-from .schemas import to_json
 from .zm import validate_triple
 
 EXIT_OK = 0
@@ -31,8 +30,8 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(to_json(doc))
+def _emit_json(text: str) -> None:
+    sys.stdout.write(text + "\n")
 
 
 def _bounds_from_args(args: argparse.Namespace) -> Bounds:
@@ -61,7 +60,7 @@ def _cmd_abscenter(args) -> int:
     t = validate_triple(args.m, args.n, args.r)
     cmp = abscenter.compare(t, _bounds_from_args(args).oracle)
     if args.json:
-        _emit_json(cmp.as_json_dict())
+        _emit_json(schemas.abscenter(cmp))
         return EXIT_OK
     regime = "guaranteed" if cmp.regime_guaranteed else "unguaranteed (compare with oracle)"
     print(f"{t}  order {t.order}")
@@ -81,19 +80,7 @@ def _cmd_aut(args) -> int:
     if args.count_only:
         counts = aut.aut_counts(t)
         if args.json:
-            _emit_json(
-                {
-                    "schema": 1,
-                    "triple": t.as_json_dict(),
-                    "aut": counts.aut,
-                    "inn": counts.inn,
-                    "out": counts.out,
-                    "central": counts.central,
-                    "ia": counts.ia,
-                    "complete": counts.complete,
-                    "regime_guaranteed": counts.regime_guaranteed,
-                }
-            )
+            _emit_json(schemas.aut_counts(t, counts))
             return EXIT_OK
         regime = "guaranteed" if counts.regime_guaranteed else "unguaranteed (compare with oracle)"
         print(f"{t}  order {t.order}   regime: {regime}")
@@ -104,15 +91,7 @@ def _cmd_aut(args) -> int:
     _refuse_above_oracle_bound(t, _bounds_from_args(args))
     family = aut.enumerate_family(t, args.family)
     if args.json:
-        _emit_json(
-            {
-                "schema": 1,
-                "triple": t.as_json_dict(),
-                "family": args.family,
-                "count": len(family),
-                "triples": [{"x1": a.x1, "x2": a.x2, "y": a.y} for a in family],
-            }
-        )
+        _emit_json(schemas.aut_family(t, args.family, family))
         return EXIT_OK
     print(f"{t}  family {args.family}: {len(family)} automorphisms")
     for a in family:
@@ -123,7 +102,7 @@ def _cmd_aut(args) -> int:
 def _cmd_realise(args) -> int:
     cert = realiser.realise(args.N, prime_budget=_bounds_from_args(args).prime_budget)
     if args.json:
-        _emit_json(cert.as_json_dict())
+        _emit_json(schemas.certificate(cert))
         return EXIT_OK
     print(f"N = {cert.N}")
     if not cert.factors:
@@ -143,7 +122,7 @@ def _cmd_verify(args) -> int:
     cert = realiser.realise(args.N, prime_budget=bounds.prime_budget)
     report = realiser.verify(cert, converse=args.converse, bounds=bounds)
     if args.json:
-        _emit_json(report.as_json_dict())
+        _emit_json(schemas.report(report))
     else:
         print(f"N = {cert.N}: forward verification over {len(report.forward_results)} divisors")
         for row in report.forward_results:
@@ -195,21 +174,18 @@ def _cmd_oracle_check(args) -> int:
     aut_agree = formula_aut == enumerated and (brute_aut is None or brute_aut == enumerated)
     l_agree = cmp.agree is True and (l_brute is None or l_brute == cmp.oracle_order)
     verdict = aut_agree and l_agree and aut_tables_agree is not False
-    doc = {
-        "schema": 1,
-        "triple": t.as_json_dict(),
-        "regime_guaranteed": t.regime_guaranteed,
-        "aut_formula": formula_aut,
-        "aut_enumerated": enumerated,
-        "aut_bruteforce": brute_aut,
-        "aut_sets_match": aut_tables_agree,
-        "l_formula": cmp.formula_order,
-        "l_oracle": cmp.oracle_order,
-        "l_bruteforce": l_brute,
-        "agree": verdict,
-    }
     if args.json:
-        _emit_json(doc)
+        _emit_json(
+            schemas.oracle_check(
+                cmp,
+                agree=verdict,
+                aut_bruteforce=brute_aut,
+                aut_enumerated=enumerated,
+                aut_formula=formula_aut,
+                aut_sets_match=aut_tables_agree,
+                l_bruteforce=l_brute,
+            )
+        )
     else:
         regime = "guaranteed" if t.regime_guaranteed else "unguaranteed"
         print(f"{t}  order {t.order}   regime: {regime}")

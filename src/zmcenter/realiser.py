@@ -12,8 +12,9 @@ Verification:
     each factor to q^(a + beta); the closed form always sits in its
     guaranteed regime here, and small factors are cross-checked against the
     fixed-point oracle.  The factor triple depends only on beta, so each
-    (factor, beta) is validated and goes through `abscenter.compare` once
-    per verification.
+    (factor, beta) has its presentation checked and goes through
+    `abscenter.compare` once per verification; ord_p(r) is computed once
+    per factor.
   * converse - subgroups of a coprime direct product split as products of
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
@@ -62,6 +63,16 @@ class FactorWitness:
         a divisor in which q has exponent beta."""
         return validate_triple(self.p, self.q ** (self.alpha + beta), self.r)
 
+    def divisor_triples(self) -> list[ZmTriple]:
+        """`divisor_triple(beta)` for beta = 0..alpha.  d = ord_p(r) does
+        not depend on n, so only beta = 0 computes it; every beta's
+        presentation is still checked."""
+        first = self.divisor_triple(0)
+        return [first] + [
+            ZmTriple(m=self.p, n=n, r=check_presentation(self.p, n, self.r), d=first.d)
+            for n in (self.q ** (self.alpha + beta) for beta in range(1, self.alpha + 1))
+        ]
+
 
 @dataclass(frozen=True)
 class RealiserCertificate:
@@ -77,15 +88,6 @@ class RealiserCertificate:
 
     def triples(self) -> list[ZmTriple]:
         return [f.triple() for f in self.factors]
-
-    def as_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "N": self.N,
-            "factors": [
-                {"q": f.q, "alpha": f.alpha, "p": f.p, "r": f.r} for f in self.factors
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RealiserCertificate":
@@ -150,6 +152,10 @@ def validate_certificate(
         # q is prime (the factors match factorize(N)), so ord_p(r) = q^alpha
         # iff r^(q^alpha) = 1 and r^(q^(alpha-1)) != 1
         if pow(f.r, f.q_pow, f.p) != 1 or pow(f.r, f.q_pow // f.q, f.p) == 1:
+            if f.r % f.p == 0:  # a multiple of p has no order mod p
+                raise CertificateError(
+                    f"{f.r} is not a unit mod {f.p}, so its order is not {f.q_pow}"
+                )
             raise CertificateError(
                 f"order of {f.r} mod {f.p} is {multiplicative_order(f.r, f.p)}, "
                 f"expected {f.q_pow}"
@@ -204,14 +210,6 @@ class SubgroupScanRow:
     l_cyclic: bool
     embeds: bool  # cyclic and order divides the factor's q^alpha
 
-    def as_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "l_order": self.l_order,
-            "l_cyclic": self.l_cyclic,
-            "embeds_in_C_N": self.embeds,
-        }
-
 
 @dataclass(frozen=True)
 class ConverseFactorRow:
@@ -239,58 +237,6 @@ class VerificationReport:
     full_product: FullProductRow | None
     passed: bool
 
-    def as_json_dict(self) -> dict:
-        """The report document.  Divisor rows that carry the same
-        comparison object share one factor-row sub-dict, so
-        `schemas.to_json` formats it once; the document is read-only."""
-        factor_docs: dict[int, dict] = {}  # id(AbsCenterComparison) -> sub-dict
-        for row in self.forward_results:
-            for fr in row.factors:
-                if id(fr) not in factor_docs:
-                    factor_docs[id(fr)] = {
-                        "triple": fr.triple.as_json_dict(),
-                        "formula_order": fr.formula_order,
-                        "oracle_order": fr.oracle_order,
-                        "agree": fr.agree,
-                    }
-        doc = {
-            "schema": 1,
-            "certificate": self.certificate.as_json_dict(),
-            "forward_results": [
-                {
-                    "divisor": row.divisor,
-                    "factors": [factor_docs[id(fr)] for fr in row.factors],
-                    "formula_product": row.formula_product,
-                    "oracle_product": row.oracle_product,
-                    "pass": row.passed,
-                }
-                for row in self.forward_results
-            ],
-            "converse_results": None,
-            "full_product": None,
-            "pass": self.passed,
-        }
-        if self.converse_results is not None:
-            doc["converse_results"] = [
-                {
-                    "factor_index": row.index,
-                    "triple": row.triple.as_json_dict(),
-                    "target": row.target,
-                    "subgroups": [s.as_json_dict() for s in row.scans],
-                    "pass": row.passed,
-                }
-                for row in self.converse_results
-            ]
-        if self.full_product is not None:
-            doc["full_product"] = {
-                "order": self.full_product.order,
-                "scanned": self.full_product.scanned,
-                "reason": self.full_product.reason,
-                "subgroups": [s.as_json_dict() for s in self.full_product.scans],
-                "pass": self.full_product.passed,
-            }
-        return doc
-
 
 def verify_forward(
     cert: RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
@@ -305,8 +251,7 @@ def verify_forward(
     with that beta.
     """
     comparisons = [
-        [abscenter.compare(f.divisor_triple(beta), bounds.oracle) for beta in range(f.alpha + 1)]
-        for f in cert.factors
+        [abscenter.compare(t, bounds.oracle) for t in f.divisor_triples()] for f in cert.factors
     ]
     rows = []
     for betas in itertools.product(*(range(f.alpha + 1) for f in cert.factors)):

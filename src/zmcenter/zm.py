@@ -59,10 +59,6 @@ class ZmTriple:
     def __str__(self) -> str:
         return f"ZM({self.m},{self.n},{self.r})"
 
-    def as_json_dict(self) -> dict:
-        """The triple sub-document of every emitted JSON document."""
-        return {"m": self.m, "n": self.n, "r": self.r}
-
     # -- element arithmetic ------------------------------------------------
 
     def element(self, u: int, v: int) -> ZmElement:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -10,7 +11,7 @@ from slow_reference import (
     reference_generator_oracle,
     reference_product_oracle,
 )
-from zmcenter import abscenter, aut, cli
+from zmcenter import abscenter, aut, cli, schemas
 from zmcenter.errors import BoundExceededError
 from zmcenter.numtheory import geometric_sum_mod
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
@@ -274,7 +275,7 @@ class TestCompare:
         assert True in agree and False in agree
 
     def test_json_shape(self, zm_5_16_2):
-        doc = abscenter.compare(zm_5_16_2).as_json_dict()
+        doc = json.loads(schemas.abscenter(abscenter.compare(zm_5_16_2)))
         assert doc["d"] == 4 and doc["e"] == 1
         assert doc["formula_order"] == 4 and doc["oracle_order"] == 4
         assert doc["generator"] == "b^4"

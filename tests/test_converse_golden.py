@@ -7,8 +7,10 @@ SHA-256 of stdout and the stderr text must match byte for byte.
   `realise N` and forward `verify N` for N = 1..30, `oracle-check` on
   triples within the oracle bound, `realise N --json` on 40 seeded
   larger N: semiprimes, prime squares, smooth N and primes in
-  10^12..10^15, and `verify N --json` for N = 840 and 1000, whose reports
-  repeat factor rows across many divisors.
+  10^12..10^15, `verify N --json` for N = 720, 840, 900, 960 and 1000,
+  whose reports repeat factor rows across many divisors, and
+  `abscenter --json` on twelve more triples that disagree, sit outside
+  the guaranteed regime, or are above the oracle bound.
 
 Regenerate the files (only when a change of output is intended) with
 
@@ -101,6 +103,18 @@ def _cli_argvs() -> list[list[str]]:
     # many divisors and many repeated factor rows: four factors and 32
     # divisors, one factor and 16 divisors
     argvs += [["verify", n, "--json"] for n in ("840", "1000")]
+    # abscenter documents in each case a field can take: agree false,
+    # unguaranteed but agreeing, and the oracle skipped above its bound
+    argvs += [
+        ["abscenter", *t.split(), "--json"]
+        for t in (
+            "113 14 28", "19 90 17", "217 6 67", "67 22 62",
+            "3 380 2", "37 52 31", "13 138 4", "7 22 6",
+            "131 26 113", "245 24 97", "17 168 2", "455 12 439",
+        )
+    ]
+    # forward reports of the benchmark's pool: 30, 27 and 28 divisors
+    argvs += [["verify", n, "--json"] for n in ("720", "900", "960")]
     return argvs
 
 

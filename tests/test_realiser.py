@@ -113,6 +113,16 @@ class TestCertificateValidation:
         with pytest.raises(CertificateError):
             realiser.validate_certificate(realiser.RealiserCertificate(N=4, factors=(bad,)))
 
+    @pytest.mark.parametrize("r", [0, 5, 10])
+    def test_loaded_r_divisible_by_p_is_a_certificate_error(self, r):
+        # a multiple of p has no order mod p: the refusal says so rather
+        # than fail to compute one
+        doc = json.loads(schemas.certificate(realiser.realise(4)))
+        assert doc["factors"][0]["p"] == 5
+        doc["factors"][0]["r"] = r
+        with pytest.raises(CertificateError, match=rf"^{r} is not a unit mod 5"):
+            realiser.RealiserCertificate.from_json_dict(doc)
+
     def test_negative_r_presentation_rejected(self):
         # -1 has order 2 mod 3, so only the range check of the factor
         # presentation ZM(3, 4, -1) rejects this witness
@@ -137,7 +147,7 @@ class TestCertificateValidation:
     def test_loaded_certificate_factors_its_own_n(self):
         # the decomposition realise hands to the check is not reused on load:
         # a document whose N no longer matches its factors is refused
-        doc = realiser.realise(4).as_json_dict()
+        doc = json.loads(schemas.certificate(realiser.realise(4)))
         doc["N"] = 8
         with pytest.raises(CertificateError, match="do not match the decomposition"):
             realiser.RealiserCertificate.from_json_dict(doc)
@@ -145,13 +155,13 @@ class TestCertificateValidation:
     def test_json_roundtrip(self):
         for n in (1, 4, 12, 30):
             cert = realiser.realise(n)
-            text = schemas.to_json(cert.as_json_dict())
+            text = schemas.certificate(cert)
             again = realiser.RealiserCertificate.from_json_dict(json.loads(text))
             assert again == cert
-            assert schemas.to_json(again.as_json_dict()) == text
+            assert schemas.certificate(again) == text
 
     def test_json_schema_field(self):
-        doc = realiser.realise(12).as_json_dict()
+        doc = json.loads(schemas.certificate(realiser.realise(12)))
         assert doc["schema"] == 1
         with pytest.raises(CertificateError):
             realiser.RealiserCertificate.from_json_dict({**doc, "schema": 2})
@@ -185,6 +195,19 @@ class TestSubgroupForDivisor:
         cert = realiser.realise(12)
         with pytest.raises(ValueError):
             realiser.subgroup_for_divisor(cert, 5)
+
+    def test_divisor_triples_compute_each_order_once(self, monkeypatch):
+        from zmcenter import zm
+
+        cert = realiser.realise(720)  # 2^4 * 3^2 * 5
+        expected = [
+            [f.divisor_triple(beta) for beta in range(f.alpha + 1)] for f in cert.factors
+        ]
+        moduli = []
+        order = zm.multiplicative_order
+        monkeypatch.setattr(zm, "multiplicative_order", lambda r, m: moduli.append(m) or order(r, m))
+        assert [f.divisor_triples() for f in cert.factors] == expected
+        assert moduli == [f.p for f in cert.factors]
 
 
 class TestVerifyForward:
@@ -249,13 +272,22 @@ class TestVerifyForward:
         assert realiser.verify_forward(cert) == rows
         assert len(compared) == 2 * len(distinct)
 
-    def test_each_factor_exponent_validated_once(self, monkeypatch):
+    def test_each_factor_exponent_checked_once(self, monkeypatch):
         # verify 720720 = 2^4 3^2 5 7 11 13: the (factor, beta) pairs number
         # 5 + 3 + 2 + 2 + 2 + 2, while the factor triples of all 240
-        # divisors number 6 * 240
-        validated = []
+        # divisors number 6 * 240.  Each pair's presentation is checked
+        # once, and ord_p(r) is computed once per factor, at beta = 0.
+        from zmcenter import zm
+
+        checked, validated = [], []
         inside = []
-        real_validate, real_forward = realiser.validate_triple, realiser.verify_forward
+        real_check, real_validate = zm.check_presentation, realiser.validate_triple
+        real_forward = realiser.verify_forward
+
+        def counting_check(m, n, r):
+            if inside:
+                checked.append((m, n, r))
+            return real_check(m, n, r)
 
         def counting_validate(m, n, r):
             if inside:
@@ -269,16 +301,17 @@ class TestVerifyForward:
             finally:
                 inside.pop()
 
+        monkeypatch.setattr(zm, "check_presentation", counting_check)
+        monkeypatch.setattr(realiser, "check_presentation", counting_check)
         monkeypatch.setattr(realiser, "validate_triple", counting_validate)
         monkeypatch.setattr(realiser, "verify_forward", marked_forward)
         assert cli.main(["verify", "720720", "--json"]) == 0
         cert = realiser.realise(720720)
         pairs = {(f, beta) for f in cert.factors for beta in range(f.alpha + 1)}
         assert len(pairs) == 16
-        assert len(validated) == len(set(validated)) == len(pairs)
-        assert set(validated) == {
-            (f.p, f.q ** (f.alpha + beta), f.r) for f, beta in pairs
-        }
+        assert len(checked) == len(set(checked)) == len(pairs)
+        assert set(checked) == {(f.p, f.q ** (f.alpha + beta), f.r) for f, beta in pairs}
+        assert validated == [(f.p, f.q**f.alpha, f.r) for f in cert.factors]
 
 
 class TestSharedComparisons:
@@ -405,15 +438,13 @@ class TestVerifyReport:
     def test_overall_pass_and_json(self):
         report = realiser.verify(realiser.realise(12), converse=True)
         assert report.passed
-        doc = report.as_json_dict()
+        doc = json.loads(schemas.report(report))
         assert doc["schema"] == 1 and doc["pass"] is True
         assert len(doc["forward_results"]) == 6
         assert len(doc["converse_results"]) == 2
-        text = schemas.to_json(doc)
-        assert json.loads(text) == doc
 
     def test_forward_only_report_has_null_converse(self):
         report = realiser.verify(realiser.realise(4), converse=False)
-        doc = report.as_json_dict()
+        doc = json.loads(schemas.report(report))
         assert doc["converse_results"] is None
         assert doc["full_product"] is None

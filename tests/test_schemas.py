@@ -1,83 +1,84 @@
+import contextlib
+import io
 import json
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zmcenter import realiser, schemas
+from zmcenter import cli, realiser, schemas
+from zmcenter.zm import iter_valid_triples
 
-scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()
-    | st.text(alphabet=st.characters(max_codepoint=0x1F))
-)
-trees = st.recursive(
-    scalars,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=4).map(tuple)
-        | st.dictionaries(st.text(max_size=4), children, max_size=4)
-        | st.dictionaries(st.integers(), children, max_size=3)
-        | st.dictionaries(st.floats(), children, max_size=3)
-    ),
-    max_leaves=25,
-)
+VALID_TRIPLES = list(iter_valid_triples(2000))
 
 
-def reference(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def emitted(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
 
 
-class TestToJson:
-    @given(trees)
-    @settings(max_examples=500)
-    def test_equals_json_dumps(self, doc):
-        assert schemas.to_json(doc) == reference(doc)
-
-    @given(trees, trees)
-    @settings(max_examples=300)
-    def test_one_object_at_several_depths(self, shared, other):
-        doc = {"a": shared, "b": [shared, {"c": shared, "d": (other, shared)}], "e": other}
-        assert schemas.to_json(doc) == reference(doc)
-
-    def test_empty_containers_and_tuples(self):
-        doc = {"a": {}, "b": [], "c": (), "d": (1, (2, [])), "": [{}]}
-        assert schemas.to_json(doc) == reference(doc)
-
-    def test_unsupported_type_raises(self):
-        with pytest.raises(TypeError):
-            schemas.to_json({"x": {1, 2}})
-
-    @pytest.mark.parametrize("key", [True, False, None, -7, 2.5, float("nan")])
-    def test_scalar_keys_written_as_json_writes_them(self, key):
-        doc = {"outer": {key: [key]}}
-        assert schemas.to_json(doc) == reference(doc)
-
-    def test_unsupported_key_raises(self):
-        with pytest.raises(TypeError):
-            schemas.to_json({(1, 2): 3})
+def assert_canonical(text: str) -> None:
+    """The text is what json writes for the document it reads back as."""
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-class TestSharedFactorRows:
-    def test_one_dict_per_distinct_factor_row(self):
-        # 840 = 2^3 * 3 * 5 * 7: 32 divisors of 4 factor rows each, drawn
-        # from 4 + 2 + 2 + 2 distinct (factor, beta) rows
+class TestCanonicalForm:
+    @given(st.sampled_from(VALID_TRIPLES))
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    def test_abscenter_on_valid_triples(self, t):
+        code, text = emitted(["abscenter", str(t.m), str(t.n), str(t.r), "--json"])
+        assert code == cli.EXIT_OK
+        assert_canonical(text)
+
+    @given(st.integers(min_value=1, max_value=2000), st.booleans())
+    # converse reports with no factor, one factor, and two factors whose
+    # product is scanned too; nearly every other N is refused
+    @example(1, True)
+    @example(4, True)
+    @example(12, True)
+    @settings(max_examples=150, deadline=None)
+    def test_verify(self, n, converse):
+        argv = ["verify", str(n), "--json"] + (["--converse"] if converse else [])
+        code, text = emitted(argv)
+        if code == cli.EXIT_BOUND:
+            assert converse and text == ""
+            return
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL)
+        assert_canonical(text)
+
+
+class TestSharedFactorRecords:
+    def test_each_distinct_factor_record_formatted_once(self, monkeypatch):
+        # 840 = 2^3 * 3 * 5 * 7: 32 divisors of 4 factor records each, drawn
+        # from 4 + 2 + 2 + 2 distinct (factor, beta) comparisons
         report = realiser.verify(realiser.realise(840))
-        doc = report.as_json_dict()
-        pairs = {
-            (id(fr), id(fdoc))
-            for row, row_doc in zip(report.forward_results, doc["forward_results"])
-            for fr, fdoc in zip(row.factors, row_doc["factors"], strict=True)
+        formatted = []
+        record = schemas.factor_record
+
+        def counted(c):
+            formatted.append(c)
+            return record(c)
+
+        monkeypatch.setattr(schemas, "factor_record", counted)
+        schemas.report(report)
+        assert len(formatted) == len({id(c) for c in formatted}) == 10
+        assert {id(c) for row in report.forward_results for c in row.factors} == {
+            id(c) for c in formatted
         }
-        assert len(pairs) == len({r for r, _ in pairs}) == len({d for _, d in pairs}) == 10
 
-    def test_text_reads_back_as_the_document(self):
+    def test_text_reads_back_as_the_report(self):
         report = realiser.verify(realiser.realise(840))
-        doc = report.as_json_dict()
-        text = schemas.to_json(doc)
-        assert json.loads(text) == doc
-        assert text == reference(doc)
+        text = schemas.report(report)
+        assert_canonical(text + "\n")
+        doc = json.loads(text)
+        assert [row["divisor"] for row in doc["forward_results"]] == [
+            row.divisor for row in report.forward_results
+        ]
+        assert [
+            [(f["triple"]["m"], f["triple"]["n"], f["formula_order"]) for f in row["factors"]]
+            for row in doc["forward_results"]
+        ] == [
+            [(c.triple.m, c.triple.n, c.formula_order) for c in row.factors]
+            for row in report.forward_results
+        ]
