@@ -7,9 +7,11 @@ two-sided identity, and associativity by Light's test on a generating
 set.  Columns need no check: a finite monoid whose rows are permutations
 is a group.
 
-The two scans do less work for the same answers.  `subgroups` extends a
-known subgroup s by one element per right coset s*g, since
-<s, h*g> = <s, g> for every h in s.  `automorphism_generators` is the one
+The two scans do less work for the same answers.  `subgroups` walks the
+lattice up to conjugacy: it adds each subgroup it finds together with its
+whole conjugacy class, labels the class, and extends only the first-found
+member, by one element per right coset s*g, since <s, h*g> = <s, g> for
+every h in s.  `automorphism_generators` is the one
 automorphism search: a stabiliser-chain backtrack that returns a
 generating set of Aut, pruned by the orbits of the generators it has
 found.  An absolute center is the set of points those generators fix;
@@ -20,9 +22,9 @@ need every automorphism, such as `oracle-check`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from operator import itemgetter
 
 from .config import DEFAULT_BOUNDS
@@ -144,6 +146,9 @@ def _find_identity(table) -> int:
 class Subgroup:
     parent: CayleyGroup
     members: tuple[int, ...]  # sorted indices
+    # `subgroups` numbers the conjugacy classes; two subgroups it returns
+    # share a label iff they are conjugate.  -1 elsewhere.
+    conjugacy_class: int = field(default=-1, compare=False)
 
     @property
     def order(self) -> int:
@@ -152,13 +157,18 @@ class Subgroup:
     def as_group(self) -> CayleyGroup:
         """The subgroup as a standalone group (indices renumbered).  A
         closed subset of a group that holds the identity is a group, so
-        its table needs no check."""
-        old_to_new = {g: i for i, g in enumerate(self.members)}
-        table = tuple(
-            tuple(old_to_new[self.parent.table[x][y]] for y in self.members)
-            for x in self.members
-        )
-        return CayleyGroup(table, old_to_new[self.parent.identity_index])
+        its table needs no check.  Each row is the parent row picked at
+        the members, renumbered through one list."""
+        members, parent = self.members, self.parent
+        if len(members) == 1:  # itemgetter of one index returns no tuple
+            return CayleyGroup(((0,),), 0)
+        new_index = [-1] * parent.order
+        for i, g in enumerate(members):
+            new_index[g] = i
+        pick = itemgetter(*members)
+        renumber = new_index.__getitem__
+        table = tuple(tuple(map(renumber, pick(parent.table[x]))) for x in members)
+        return CayleyGroup(table, new_index[parent.identity_index])
 
 
 def cyclic_group(k: int) -> CayleyGroup:
@@ -202,44 +212,89 @@ def direct_product(
 def subgroups(
     group: CayleyGroup, subgroup_bound: int = DEFAULT_BOUNDS.subgroups
 ) -> list[Subgroup]:
-    """Every subgroup, by breadth-first closure: seed with the cyclic
-    subgroups, then repeatedly extend each known subgroup s by one outside
-    element g per right coset s*g and close.  One per coset suffices:
-    <s, h*g> = <s, g> for every h in s, as h is in s and g = h^-1 * (h*g).
-    So each s costs |G|/|s| - 1 closures instead of |G| - |s|.  Output is
-    sorted by (order, member tuple) so runs are reproducible."""
-    if group.order > subgroup_bound:
-        raise BoundExceededError(
-            f"order {group.order} > subgroup enumeration bound {subgroup_bound}"
-        )
-    # each subgroup keeps the generators it was reached by: extending s
-    # by g closes <gens(s), g> = <s, g> from a handful of seeds
-    known: dict[frozenset[int], tuple[int, ...]] = {frozenset([group.identity_index]): ()}
-    frontier = []
-    for g in range(group.order):
+    """Every subgroup, labelled with its conjugacy class, by a
+    breadth-first walk over class representatives.  Output is sorted by
+    (order, member tuple) so runs are reproducible.
+
+    The seeds are the cyclic subgroups.  After closing <g>, every element
+    of <g> of the same order is marked done, since each generates <g>.
+    When the walk first finds a subgroup t, it adds t's whole conjugacy
+    class to `known`: the orbit of t under conjugation x -> x^y = y^-1 x y
+    by each y of `generating_sequence`.  That is its orbit under all of G,
+    as (x^y)^z = x^(yz) and the y generate G.  Only that first-found
+    member of a class joins the frontier.  A frontier subgroup s is
+    extended by one g per right coset s*g and closed: <s, h*g> = <s, g>
+    for every h in s, as g = h^-1 * (h*g).  So each class representative
+    s costs |G|/|s| - 1 closures, and the rest of its class costs none.
+
+    Completeness, by induction on the number of generators.  The seeds
+    give every cyclic subgroup.  Let H = <K, h> with K's class found, and
+    let R = K^y be its representative.  Then H^y = <R, h^y>, which the
+    walk reaches by extending R by the first element of the coset R*h^y,
+    and it adds H^y's whole class, H included.
+
+    Computing the lattice up to conjugacy is the standard approach of
+    Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005).
+    """
+    n = group.order
+    if n > subgroup_bound:
+        raise BoundExceededError(f"order {n} > subgroup enumeration bound {subgroup_bound}")
+    table, orders, ident = group.table, group.element_orders, group.identity_index
+    # conjugation by each y of the generating sequence, as the index
+    # permutation x -> y^-1 x y
+    conjugations = []
+    for y in group.generating_sequence:
+        y_inverse_row = table[table[y].index(ident)]
+        conjugations.append(tuple(table[z][y] for z in y_inverse_row))
+
+    def conjugates(t: frozenset[int]) -> list[frozenset[int]]:
+        if len(t) == 1:  # the trivial subgroup is normal
+            return [t]
+        orbit, seen = [t], {t}
+        for s in orbit:  # the loop also visits the conjugates it appends
+            pick = itemgetter(*s)
+            for conjugation in conjugations:
+                u = frozenset(pick(conjugation))
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+        return orbit
+
+    # the class label of every subgroup found, numbered in the order the
+    # classes are found; each frontier entry keeps the generators its
+    # subgroup was reached by: extending s by g closes <gens(s), g> =
+    # <s, g> from a handful of seeds
+    known: dict[frozenset[int], int] = {frozenset([ident]): 0}
+    labels = count(1)
+    frontier: list[tuple[frozenset[int], tuple[int, ...]]] = []
+
+    def visit(t: frozenset[int], gens: tuple[int, ...], queue: list) -> None:
+        if t not in known:
+            known.update(dict.fromkeys(conjugates(t), next(labels)))
+            queue.append((t, gens))
+
+    done = [False] * n
+    for g in range(n):
+        if done[g]:
+            continue
         s = group.closure({g})
-        if s not in known:
-            known[s] = (g,)
-            frontier.append(s)
-    table = group.table
+        for x in s:
+            if orders[x] == orders[g]:
+                done[x] = True
+        visit(s, (g,), frontier)
     while frontier:
-        fresh = []
-        for s in frontier:
-            gens = known[s]
+        fresh: list[tuple[frozenset[int], tuple[int, ...]]] = []
+        for s, gens in frontier:
             # the cosets s*g already extended by; the first g of a coset
-            # is its least element, so `known` records the same
-            # generators as extending by every g would
+            # is its least element
             seen = set(s)
-            for g in range(group.order):
+            for g in range(n):
                 if g in seen:
                     continue
-                t = group.closure(gens + (g,))
-                if t not in known:
-                    known[t] = gens + (g,)
-                    fresh.append(t)
+                visit(group.closure(gens + (g,)), gens + (g,), fresh)
                 seen.update(table[h][g] for h in s)
         frontier = fresh
-    out = [Subgroup(group, tuple(sorted(s))) for s in known]
+    out = [Subgroup(group, tuple(sorted(s)), label) for s, label in known.items()]
     out.sort(key=lambda s: (s.order, s.members))
     return out
 

@@ -19,7 +19,9 @@ Verification:
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
     q^a.  On top of that, when the full product itself fits the bounds, its
-    subgroups are scanned directly.  The converse runs first: it checks
+    subgroups are scanned directly.  Conjugate subgroups are isomorphic, so
+    each scan runs the brute force once per conjugacy class and gives its
+    row to every subgroup of the class.  The converse runs first: it checks
     every factor bound before any Cayley table, so a refusal costs no scan
     and no forward comparison.
 """
@@ -285,20 +287,27 @@ def verify_forward(
 def _scan_subgroups(
     group: genericgroup.CayleyGroup, target: int, bounds: Bounds
 ) -> tuple[SubgroupScanRow, ...]:
-    """Brute-force absolute center of every subgroup of the given table."""
+    """Brute-force absolute center of every subgroup of the given table,
+    one row per subgroup in `genericgroup.subgroups` order.  The brute
+    force runs once per conjugacy class, on its first subgroup, and the
+    rest of the class reuses that row: x -> y^-1 x y is an isomorphism of
+    S onto S^y, and every field of the row depends only on the
+    isomorphism type of S."""
     rows = []
+    by_class: dict[int, SubgroupScanRow] = {}
     for sub in genericgroup.subgroups(group, bounds.subgroups):
-        as_group = sub.as_group()
-        fixed = genericgroup.absolute_center_bruteforce(as_group, bounds.aut)
-        cyclic, l_order = genericgroup.is_cyclic(fixed)
-        rows.append(
-            SubgroupScanRow(
+        row = by_class.get(sub.conjugacy_class)
+        if row is None:
+            as_group = sub.as_group()
+            fixed = genericgroup.absolute_center_bruteforce(as_group, bounds.aut)
+            cyclic, l_order = genericgroup.is_cyclic(fixed)
+            row = by_class[sub.conjugacy_class] = SubgroupScanRow(
                 order=sub.order,
                 l_order=l_order,
                 l_cyclic=cyclic,
                 embeds=cyclic and target % l_order == 0,
             )
-        )
+        rows.append(row)
     return tuple(rows)
 
 

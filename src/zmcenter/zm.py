@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import genericgroup
@@ -100,20 +101,26 @@ class ZmTriple:
             )
 
     def cayley(self, table_bound: int = DEFAULT_BOUNDS.table) -> genericgroup.CayleyGroup:
-        """Explicit multiplication table over all m*n elements, u-major."""
+        """Explicit multiplication table over all m*n elements, u-major.
+
+        (b^u a^v)(b^s a^w) = b^(u+s) a^(v r^s + w), so for each s the m
+        entries over w are the block u'*m + (c + w) mod m, with u' = u + s
+        and c = v r^s, both reduced.  Each row chains n of the n*m
+        precomputed blocks; the offsets c are shared by every u."""
         self.check_table_bound(table_bound)
         m, n = self.m, self.n
         rpow = [pow(self.r, s, m) for s in range(n)]
-        table = tuple(
-            tuple(
-                ((u + s) % n) * m + (v * rpow[s] + w) % m
-                for s in range(n)
-                for w in range(m)
-            )
-            for u in range(n)
-            for v in range(m)
-        )
-        return genericgroup.CayleyGroup.from_table(table)
+        blocks = []  # blocks[u'][c]
+        for u in range(n):
+            base = tuple(range(u * m, u * m + m))
+            blocks.append([base[c:] + base[:c] for c in range(m)])
+        offsets = [[v * r % m for r in rpow] for v in range(m)]
+        table = []
+        for u in range(n):
+            row_blocks = blocks[u:] + blocks[:u]  # s -> blocks[(u + s) % n]
+            for cs in offsets:
+                table.append(tuple(chain.from_iterable(map(list.__getitem__, row_blocks, cs))))
+        return genericgroup.CayleyGroup.from_table(tuple(table))
 
 
 def check_presentation(m: int, n: int, r: int) -> int:

@@ -12,7 +12,11 @@ for associativity to Light's test on a generating set,
 to splitting each index once, `CayleyGroup.element_orders` moved from
 walking every element's powers to one walk per cyclic subgroup,
 `subgroups` moved from extending by every outside element to one element
-per right coset, `automorphisms_bruteforce` moved from re-closing the
+per right coset and then to one extended subgroup per conjugacy class,
+`ZmTriple.cayley` moved from one expression per table entry to chaining
+precomputed blocks of m entries, `Subgroup.as_group` moved from one dict
+lookup per entry to picking and renumbering whole rows,
+`automorphisms_bruteforce` moved from re-closing the
 whole partial map at every node to checking each new pair once, and
 `is_prime` moved from all twelve Miller-Rabin bases on every input to a
 gcd sieve and only the bases that the size of the input needs,
@@ -439,6 +443,34 @@ def reference_element_orders(group: CayleyGroup) -> tuple[int, ...]:
         return k
 
     return tuple(element_order(i) for i in range(group.order))
+
+
+def reference_cayley(t: ZmTriple) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of ZM(m, n, r) over the u-major normal
+    forms, one expression per entry:
+    (b^u a^v)(b^s a^w) = b^(u+s) a^(v r^s + w)."""
+    m, n = t.m, t.n
+    rpow = [pow(t.r, s, m) for s in range(n)]
+    return tuple(
+        tuple(
+            ((u + s) % n) * m + (v * rpow[s] + w) % m
+            for s in range(n)
+            for w in range(m)
+        )
+        for u in range(n)
+        for v in range(m)
+    )
+
+
+def reference_as_group(sub: Subgroup) -> CayleyGroup:
+    """The subgroup as a standalone group, its indices renumbered by one
+    dict lookup per table entry."""
+    old_to_new = {g: i for i, g in enumerate(sub.members)}
+    table = tuple(
+        tuple(old_to_new[sub.parent.table[x][y]] for y in sub.members)
+        for x in sub.members
+    )
+    return CayleyGroup(table, old_to_new[sub.parent.identity_index])
 
 
 def reference_subgroups(

@@ -208,8 +208,9 @@ class TestVerify:
             monkeypatch.setattr(genericgroup, name, counting)
         code, out, _ = run(capsys, "verify", "12", "--converse", "--json")
         assert code == 0 and json.loads(out)["pass"] is True
-        # one generating set per subgroup of ZM(5,16,2) and ZM(7,9,2)
-        assert calls == {"automorphisms_bruteforce": 0, "automorphism_generators": 18 + 12}
+        # one generating set per conjugacy class of subgroups of ZM(5,16,2)
+        # (18 subgroups in 10 classes) and ZM(7,9,2) (12 in 6)
+        assert calls == {"automorphisms_bruteforce": 0, "automorphism_generators": 10 + 6}
 
     def test_report_json_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "6", "--json")

@@ -2,7 +2,9 @@
 SHA-256 of stdout and the stderr text must match byte for byte.
 
 * `converse_golden.json` pins `verify N --converse [--json]` for N = 1..30,
-  and for N = 5 and 10 with raised aut and subgroup bounds.
+  for N = 5 and 10 with raised aut and subgroup bounds, and
+  `verify 6 --converse --json` with raised bounds, which scans a
+  two-factor product table.
 * `cli_golden.json` pins every other subcommand: `abscenter`, `aut`,
   `realise N` and forward `verify N` for N = 1..30, `oracle-check` on
   triples within the oracle bound, `realise N --json` on 40 seeded
@@ -49,6 +51,9 @@ def _converse_argvs() -> list[list[str]]:
         for n in ("5", "10")
         for flag in (["--json"], [])
     ]
+    # ZM(5,4,4) x ZM(7,9,4) of order 1260: the one multi-factor product
+    # table within the raised bounds, so its subgroups are scanned directly
+    argvs.append(["verify", "6", "--converse", "--json", *raised])
     return argvs
 
 

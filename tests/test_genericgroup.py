@@ -6,6 +6,7 @@ import pytest
 
 from group_helpers import NAMED_GROUPS, center_bruteforce, divisors, power
 from slow_reference import (
+    reference_as_group,
     reference_automorphisms_bruteforce,
     reference_closure,
     reference_direct_product,
@@ -304,12 +305,12 @@ class TestSubgroups:
         assert gg.is_cyclic(full) == (True, 16)
 
     def test_as_group_equals_from_table(self):
-        groups = [build() for build in NAMED_GROUPS.values()]
-        groups += [t.cayley() for t in iter_valid_triples(60)]
+        groups = [build() for build in NAMED_GROUPS.values()] + _reference_groups()
         for group in groups:
             for sub in gg.subgroups(group):
                 table = sub.as_group()
                 assert table == gg.CayleyGroup.from_table(table.table), sub.members
+                assert table == reference_as_group(sub), sub.members
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
@@ -396,7 +397,8 @@ def _reference_groups() -> list[gg.CayleyGroup]:
 
 class TestScansMatchReference:
     def test_subgroup_lattices(self):
-        for group in _reference_groups():
+        # the named groups have conjugacy classes of up to 28 subgroups
+        for group in [*_reference_groups(), *(build() for build in NAMED_GROUPS.values())]:
             fast = [s.members for s in gg.subgroups(group)]
             assert fast == [s.members for s in reference_subgroups(group)]
 
@@ -423,11 +425,32 @@ class TestScansMatchReference:
         coset_calls = len(calls)
         calls.clear()
         reference_subgroups(group)
-        # the cyclic seeds, then each nontrivial s once per coset other than s
         n = group.order
+        # one closure per cyclic subgroup, then each nontrivial class
+        # representative s once per coset other than s
+        cyclic = {real(group, {g}) for g in range(n)}
+        class_orders = {s.conjugacy_class: s.order for s in subs}
+        assert len(cyclic) == 16 and len(class_orders) == 10
+        nontrivial_classes = [k for k in class_orders.values() if k > 1]
+        assert coset_calls == len(cyclic) + sum(n // k - 1 for k in nontrivial_classes) == 113
+        # the reference: every element, then each nontrivial s once per
+        # outside element
         nontrivial = [s.order for s in subs[1:]]
-        assert coset_calls == n + sum(n // k - 1 for k in nontrivial) == 229
         assert len(calls) == n + sum(n - k for k in nontrivial) == 1159
+
+    def test_class_labels_are_conjugacy_classes(self):
+        groups = [*_reference_groups(), *(build() for build in NAMED_GROUPS.values())]
+        for group in groups:
+            table, n = group.table, group.order
+            inverse = [row.index(group.identity_index) for row in table]
+            subs = gg.subgroups(group)
+            for s in subs:
+                conjugates = {
+                    tuple(sorted(table[table[inverse[y]][x]][y] for x in s.members))
+                    for y in range(n)
+                }
+                same_label = {t.members for t in subs if t.conjugacy_class == s.conjugacy_class}
+                assert same_label == conjugates, s.members
 
 
 class TestAutomorphismsBruteforce:

@@ -6,12 +6,12 @@ import types
 
 import pytest
 
-from group_helpers import divisors
+from group_helpers import NAMED_GROUPS, divisors
 from slow_reference import reference_verify_forward
 from zmcenter import abscenter, cli, genericgroup, realiser, schemas
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError, TripleError
-from zmcenter.zm import ZmTriple, check_presentation
+from zmcenter.zm import ZmTriple, check_presentation, validate_triple
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -366,9 +366,10 @@ class TestVerifyConverse:
 
     def test_multi_factor_certificate_scans_the_product(self, monkeypatch):
         # realise(6) has factors ZM(5,4,4) and ZM(7,9,4): the product of
-        # order 1260 fits these bounds.  Building its table takes seconds
-        # and scanning it about a minute, so both are stubbed and only the
-        # calls are recorded.
+        # order 1260 fits these bounds.  Here both the product and the scan
+        # are stubbed and only the calls are recorded; the golden replay of
+        # `verify 6 --converse --json` with the same bounds runs them for
+        # real, in about 1.5 s.
         cert = realiser.realise(6)
         products, scanned = [], []
 
@@ -397,6 +398,21 @@ class TestVerifyConverse:
         assert row.passed
         assert all(s.l_cyclic and 2 % s.l_order == 0 for s in row.scans)
         assert full_row.scanned and full_row.passed
+
+    def test_scan_rows_equal_one_brute_force_per_subgroup(self):
+        # S4 has subgroups of order 4 in three classes, C_4 with L = C_2
+        # and two classes of Klein groups with L trivial: a row shared
+        # by subgroups that are not conjugate would show here
+        groups = [NAMED_GROUPS[name]() for name in ("S4", "S3xS3", "GL(2,3)")]
+        groups.append(validate_triple(5, 16, 2).cayley())
+        for group in groups:
+            expected = []
+            for sub in genericgroup.subgroups(group):
+                fixed = genericgroup.absolute_center_bruteforce(sub.as_group())
+                cyclic, l_order = genericgroup.is_cyclic(fixed)
+                embeds = cyclic and 12 % l_order == 0
+                expected.append(realiser.SubgroupScanRow(sub.order, l_order, cyclic, embeds))
+            assert realiser._scan_subgroups(group, 12, Bounds()) == tuple(expected)
 
     def test_n12_factor_scans(self):
         cert = realiser.realise(12)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_helpers import center_bruteforce, derived_subgroup, element_order, power
+from slow_reference import reference_cayley
 from zmcenter.errors import BoundExceededError, TripleError
 from zmcenter.numtheory import factorize
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
@@ -206,6 +207,14 @@ class TestCayleyExport:
     def test_bound_enforced(self, zm_5_16_2):
         with pytest.raises(BoundExceededError):
             zm_5_16_2.cayley(table_bound=79)
+
+    def test_block_rows_equal_per_entry_reference(self):
+        triples = [*iter_valid_triples(400), *(validate_triple(1, k, 1) for k in (1, 2, 7, 30))]
+        assert len(triples) == 806
+        for t in triples:
+            group = t.cayley()
+            assert group.table == reference_cayley(t), t
+            assert group.identity_index == t.index_of(ZmElement(0, 0))
 
 
 class TestIterValidTriples:
