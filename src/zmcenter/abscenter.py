@@ -6,7 +6,12 @@ parameter triples that together generate the automorphism family.
 The closed form is always a subgroup of L (its generator really is fixed
 by every parametrized automorphism); it is provably all of L when every
 prime of n divides d.  Outside that regime the oracle is the ground truth
-and reports carry an explicit agree/disagree verdict.
+and reports carry an explicit agree/disagree verdict.  With n2 the part of
+n prime to d, the closed form misses L exactly when n2 is even (n even and
+d odd): ZM(m, n, r) = C_n2 x ZM(m, n/n2, r^n2), and the closed form sees
+only the second factor, so it misses the C_gcd(n2, 2) that L(C_n2) is.
+tests/test_abscenter.py::TestRegimes proves the split and checks the
+predicate on every valid triple with mn <= 2000.
 
 Why the three subfamilies suffice:
   1. The fixed points of a group of maps are the common fixed points of

@@ -9,7 +9,10 @@ without it the map is a well-defined endomorphism but collapses part of
 <b>, so it is not bijective.  Whenever every prime of n divides d the
 extra condition is implied by y = 1 (mod d) and the classical count
 m*phi(m)*n/d is exact; outside that regime the counting formulas carry a
-"regime" flag and the brute-force engine is the ground truth.
+"regime" flag and the brute-force engine is the ground truth.  With n2
+the part of n prime to d, the family has m*phi(m)*(n/n2/d)*phi(n2)
+members, so the classical count is wrong exactly when n2 > 1; that is
+checked, with its proof, in tests/test_abscenter.py::TestRegimes.
 """
 
 from __future__ import annotations

@@ -51,7 +51,8 @@ class ZmTriple:
     def regime_guaranteed(self) -> bool:
         """True iff every prime of n divides d (the counting formulas'
         guaranteed regime).  Computed without factoring n: dividing out
-        gcd(x, d) until it is 1 leaves 1 iff no prime of n is missing from d."""
+        gcd(x, d) until it is 1 leaves x = n2, the part of n prime to d,
+        which is 1 iff no prime of n is missing from d."""
         x = self.n
         while (g := math.gcd(x, self.d)) > 1:
             x //= g

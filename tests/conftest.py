@@ -1,6 +1,6 @@
 import pytest
 
-from zmcenter.zm import validate_triple
+from zmcenter.zm import iter_valid_triples, validate_triple
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +44,10 @@ SMALL_TRIPLES = [
 @pytest.fixture(scope="session")
 def small_triples():
     return [validate_triple(m, n, r) for m, n, r in SMALL_TRIPLES]
+
+
+@pytest.fixture(scope="session")
+def valid_triples():
+    """Every valid triple with m > 1 and mn <= 2000, built once: the
+    enumeration itself takes over a second."""
+    return list(iter_valid_triples(2000))

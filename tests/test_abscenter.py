@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,8 @@ from slow_reference import (
 )
 from zmcenter import abscenter, aut, cli, schemas
 from zmcenter.errors import BoundExceededError
-from zmcenter.numtheory import geometric_sum_mod
+from zmcenter.genericgroup import cyclic_group, direct_product
+from zmcenter.numtheory import euler_phi, factorize, geometric_sum_mod
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
 
 
@@ -267,11 +269,10 @@ class TestCompare:
             _, z_order = t.center()
             assert z_order % len(oracle) == 0
 
-    def test_agree_matches_the_power_span_reference(self):
-        triples = list(iter_valid_triples(2000))
-        agree = [abscenter.compare(t).agree for t in triples]
-        assert len(triples) == 7318
-        assert agree == [reference_agree(t) for t in triples]
+    def test_agree_matches_the_power_span_reference(self, valid_triples):
+        agree = [abscenter.compare(t).agree for t in valid_triples]
+        assert len(valid_triples) == 7318
+        assert agree == [reference_agree(t) for t in valid_triples]
         assert True in agree and False in agree
 
     def test_json_shape(self, zm_5_16_2):
@@ -325,3 +326,104 @@ class TestFoldedFixednessCheck:
         with pytest.raises(RuntimeError):
             cli.main(["verify", "4", "--json"])
         assert '"pass": true' not in capsys.readouterr().out
+
+
+def _split(t):
+    """(n2, factor): n2 is the part of n prime to d, found without factoring
+    by the loop of `ZmTriple.regime_guaranteed`, and factor is the
+    complement ZM(m, n/n2, r^n2) in the split ZM(m, n, r) = C_n2 x factor."""
+    n2 = t.n
+    while (g := math.gcd(n2, t.d)) > 1:
+        n2 //= g
+    return n2, validate_triple(t.m, t.n // n2, pow(t.r, n2, t.m))
+
+
+class TestRegimes:
+    """Where the paper's formulas drift, and the exact forms in every regime.
+
+    Write n = n1*n2, with n2 the part of n prime to d (`_split`).  Then
+    ZM(m, n, r) = C_n2 x ZM(m, n1, r^n2), and the paper's forms see only
+    the second factor:
+      1. (b^u a^v)(b^s a^w) = b^(u+s) a^(v*r^s + w), so b^s is central iff
+         d | s.  d | n1, so b^n1 is central, of order n2.
+      2. gcd(d, n2) = 1, so r^n2 has order d mod m, and is 1 mod no prime
+         of m (r is not, and its order mod that prime divides d).  So
+         (m, n1, r^n2) is a valid triple with the same d, every prime of
+         n1 divides d, and <a, b^n2> is that group: the guaranteed regime.
+      3. The two subgroups commute, meet trivially and have coprime orders
+         n2 and m*n1.  By the CRT, b^u = b^(n1*x) * b^(n2*y) with
+         x = u/n1 mod n2 and y = u/n2 mod n1, so they generate the group.
+      4. Coprime factors are characteristic (the elements of order dividing
+         |A|, resp. |B|), so Aut(A x B) = Aut(A) x Aut(B) and
+         L(A x B) = L(A) x L(B).  In C_k the maps x -> j*x, j a unit, fix x
+         iff (j - 1)*x = 0 for every j; j = -1 gives 2x = 0, and every j is
+         odd when k is even, so L(C_k) = C_gcd(k, 2).
+    So |L| = gcd(n2, 2) * |L(ZM(m, n1, r^n2))| and
+    |Aut| = phi(n2) * m*phi(m)*n1/d.  With e = n2*e', the paper's b^(d*e)
+    is (0, b'^(d*e')), the generator of the second factor's L.  Its |L|
+    therefore drifts exactly when n2 is even (n even and d odd), and its
+    m*phi(m)*n/d exactly when n2 > 1 (outside the guaranteed regime).
+
+    Checked on every valid triple with m*n <= 2000; the split itself is
+    checked as a table isomorphism on every one with n2 > 1 and m*n <= 200.
+    """
+
+    @pytest.fixture(scope="class")
+    def rows(self, valid_triples):
+        return [(t, *_split(t), abscenter.compare(t)) for t in valid_triples]
+
+    def test_totals_are_pinned(self, rows):
+        assert len(rows) == 7318
+        assert sum(n2 > 1 for _, n2, _, _ in rows) == 3366
+        assert sum(n2 % 2 == 0 for _, n2, _, _ in rows) == 740
+
+    def test_l_drifts_exactly_when_n2_is_even(self, rows):
+        for t, n2, _, cmp in rows:
+            n_even_d_odd = t.n % 2 == 0 and t.d % 2 == 1
+            assert (cmp.agree is False) == (n2 % 2 == 0) == n_even_d_odd, t
+
+    def test_aut_drifts_exactly_when_n2_exceeds_one(self, rows):
+        for t, n2, _, _ in rows:
+            drift = aut.aut_counts(t).aut != aut.family_size(t)
+            assert drift == (n2 > 1) == (not t.regime_guaranteed), t
+
+    def test_oracle_is_the_exact_form(self, rows):
+        for t, _, _, _ in rows:
+            big_g = math.gcd(t.n, 2 * t.d) if t.n % 2 == 0 and t.d % 2 == 1 else t.d
+            k = math.lcm(t.d, t.n // big_g)
+            exact = {ZmElement(u, 0) for u in range(0, t.n, k)}
+            assert abscenter.absolute_center_oracle(t) == exact, t
+
+    def test_family_size_is_the_exact_form(self, rows):
+        for t, n2, factor, _ in rows:
+            size = aut.family_size(t)
+            assert size == t.m * t.phi_m * (factor.n // t.d) * euler_phi(n2), t
+            missing = [p for p, _ in factorize(t.n) if t.d % p]
+            share = math.prod(1 - Fraction(1, p) for p in missing)
+            assert size == t.m * t.phi_m * Fraction(t.n, t.d) * share, t
+
+    def test_split_factor_is_guaranteed_and_carries_l(self, rows):
+        for t, n2, factor, cmp in rows:
+            assert factor.d == t.d and factor.regime_guaranteed, t
+            factor_l = abscenter.absolute_center_formula(factor).order
+            assert cmp.oracle_order == math.gcd(n2, 2) * factor_l, t
+
+    def test_split_is_an_isomorphism_on_tables(self, rows):
+        checked = 0
+        for t, n2, factor, _ in rows:
+            if n2 == 1 or t.order > 200:
+                continue
+            m, n1 = t.m, factor.n
+            product = direct_product([cyclic_group(n2), factor.cayley()]).table
+            inv_n1, inv_n2 = pow(n1, -1, n2), pow(n2, -1, n1)
+            # b^u a^v -> (u/n1 mod n2, b'^(u/n2 mod n1) a'^v), factor-major
+            pi = [
+                (u * inv_n1 % n2 * n1 + u * inv_n2 % n1) * m + v
+                for u in range(t.n)
+                for v in range(m)
+            ]
+            assert sorted(pi) == list(range(t.order)), t
+            for i, row in enumerate(t.cayley().table):
+                assert [pi[x] for x in row] == [product[pi[i]][y] for y in pi], t
+            checked += 1
+        assert checked == 94

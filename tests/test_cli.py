@@ -659,37 +659,3 @@ def test_module_entry_point_reads_sys_argv(capsys):
     )
     code, out, err = run(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
-
-
-def _probe_discrepancies(max_order: int) -> subprocess.CompletedProcess:
-    root = pathlib.Path(__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "probe_discrepancies.py"), "--max-order", str(max_order)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        timeout=120,
-    )
-
-
-def test_probe_discrepancies_script_runs():
-    proc = _probe_discrepancies(60)
-    assert proc.returncode == 0, proc.stderr
-    # the classical |Aut| overcounts every unguaranteed triple; |L| drifts
-    # on two of them
-    assert proc.stdout.endswith(
-        "\n10 unguaranteed triples with mn <= 60; "
-        "10 with |Aut| drift, 2 with |L| drift, 0 oracles skipped\n"
-    )
-
-
-def test_probe_discrepancies_runs_above_the_oracle_bound():
-    # the 274 triples with 2000 < mn <= 2100 have no oracle column; each
-    # still drifts, because the classical count overcounts the family
-    proc = _probe_discrepancies(2100)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith(
-        "\n3640 unguaranteed triples with mn <= 2100; "
-        "3640 with |Aut| drift, 740 with |L| drift, 274 oracles skipped\n"
-    )
-    assert sum(" skipped  <-" in line for line in proc.stdout.splitlines()) == 274
