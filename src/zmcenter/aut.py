@@ -23,11 +23,14 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from .errors import AutParamError
+from .errors import AutParamError, BoundExceededError
 from .numtheory import geometric_sum_mod
 from .zm import ZmElement, ZmTriple
 
 FAMILIES = ("all", "central", "ia", "inner")
+
+# the most work a family listing of the command line may cost
+_LISTING_BOUND = 10**5
 
 
 class AutTriple(NamedTuple):
@@ -105,20 +108,37 @@ def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    x1s = list(units(t))
-    ys = list(valid_ys(t))
     if family == "all":
         # tuple.__new__ builds the namedtuples in C: this list is m*phi(m)*|Y| long
-        out = list(map(_new_aut_triple, product(x1s, range(t.m), ys)))
+        out = list(map(_new_aut_triple, product(units(t), range(t.m), valid_ys(t))))
     elif family == "central":
-        out = [AutTriple(1 % t.m, 0, y) for y in ys]
+        out = [AutTriple(1 % t.m, 0, y) for y in valid_ys(t)]
     elif family == "ia":
-        out = [AutTriple(x1, x2, 1 % t.n) for x1 in x1s for x2 in range(t.m)]
+        out = [AutTriple(x1, x2, 1 % t.n) for x1 in units(t) for x2 in range(t.m)]
     else:
         seen = {conjugation(t, t.element(s, w)) for s in range(t.d) for w in range(t.m)}
         out = list(seen)
     out.sort()
     return out
+
+
+def _check_listing_cost(t: ZmTriple, family: str) -> None:
+    """Raise BoundExceededError if building `enumerate_family(t, family)`
+    costs more than _LISTING_BOUND, judged before anything is built: `all`,
+    `central` and `ia` have at most m*phi(m)*(n/d), n/d and m*phi(m)
+    members (|Y| <= n/d), and `inner` is read off m*d conjugations."""
+    if family == "all":
+        cost = t.m * t.phi_m * (t.n // t.d)
+    elif family == "central":
+        cost = t.n // t.d
+    elif family == "ia":
+        cost = t.m * t.phi_m
+    else:
+        cost = t.m * t.d
+    if cost > _LISTING_BOUND:
+        raise BoundExceededError(
+            f"listing the {family} family of {t} costs {cost} > listing bound {_LISTING_BOUND}"
+        )
 
 
 @dataclass(frozen=True)

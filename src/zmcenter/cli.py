@@ -87,8 +87,7 @@ def _cmd_aut(args) -> int:
         print(f"|Aut| = {counts.aut}   |Inn| = {counts.inn}   |Out| = {counts.out}")
         print(f"central = {counts.central}   IA = {counts.ia}   complete: {_yesno(counts.complete)}")
         return EXIT_OK
-    # a listing has m * phi(m) * |Y| lines: refuse it before building it
-    _refuse_above_oracle_bound(t, _bounds_from_args(args))
+    aut._check_listing_cost(t, args.family)
     family = aut.enumerate_family(t, args.family)
     if args.json:
         _emit_json(schemas.aut_family(t, args.family, family))
@@ -108,8 +107,7 @@ def _cmd_realise(args) -> int:
     if not cert.factors:
         print("trivial certificate: H is the trivial group")
         return EXIT_OK
-    for f in cert.factors:
-        t = f.triple()
+    for f, t in zip(cert.factors, cert.triples()):
         print(
             f"q^alpha = {f.q}^{f.alpha}  ->  p = {f.p}, r = {f.r}, "
             f"H_i = {t} of order {t.order}, L(H_i) = C_{f.q_pow}"

@@ -11,19 +11,20 @@ Verification:
   * forward  - every divisor N1 of N is realized by shrinking the b-part of
     each factor to q^(a + beta); the closed form always sits in its
     guaranteed regime here, and small factors are cross-checked against the
-    fixed-point oracle.  The factor triple depends only on beta, so each
-    (factor, beta) has its presentation checked and goes through
-    `abscenter.compare` once per verification; ord_p(r) is computed once
-    per factor.
+    fixed-point oracle.  The factor orders are pairwise coprime, so N1 is
+    realized iff each (factor, beta) has formula order q^beta and an oracle
+    that is skipped or agrees.  Each (factor, beta) is checked, compared
+    and judged once per verification, and ord_p(r) once per factor.
   * converse - subgroups of a coprime direct product split as products of
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
     q^a.  On top of that, when the full product itself fits the bounds, its
     subgroups are scanned directly.  Conjugate subgroups are isomorphic, so
     each scan runs the brute force once per conjugacy class and gives its
-    row to every subgroup of the class.  The converse runs first: it checks
-    every factor bound before any Cayley table, so a refusal costs no scan
-    and no forward comparison.
+    row to every subgroup of the class.  The factor triples are read off
+    the certificate, whose construction proved them.  The converse runs
+    first: it checks every factor bound before any Cayley table, so a
+    refusal costs no scan and no forward comparison.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class FactorWitness:
     def q_pow(self) -> int:
         return self.q**self.alpha
 
-    def triple(self) -> ZmTriple:
-        return self.divisor_triple(self.alpha)
-
     def divisor_triple(self, beta: int) -> ZmTriple:
         """ZM(p, q^(alpha+beta), r): this factor in the subgroup realizing
         a divisor in which q has exponent beta."""
@@ -89,7 +87,9 @@ class RealiserCertificate:
         validate_certificate(self, decomposition)
 
     def triples(self) -> list[ZmTriple]:
-        return [f.triple() for f in self.factors]
+        """ZM(p, q^(2 alpha), r) per factor: `validate_certificate` has
+        checked this presentation and proven ord_p(r) = q^alpha."""
+        return [ZmTriple(f.p, f.q ** (2 * f.alpha), f.r % f.p, f.q_pow) for f in self.factors]
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RealiserCertificate":
@@ -247,37 +247,36 @@ def verify_forward(
     multiply to N1, and every factor small enough is cross-checked against
     the fixed-point oracle.  Disagreements are recorded, never raised.
 
-    A factor triple depends only on the exponent beta of its q in N1, so
-    each factor's `abscenter.compare` records are computed once per beta,
-    and the rows hold those records themselves, shared by every divisor
-    with that beta.
+    Each (factor, beta) gets one record (q^beta, comparison, ok), ok iff
+    the formula order is q^beta and the oracle is skipped or agrees with
+    it.  A row picks one record per factor and passes iff all are ok,
+    which is exactly the row-level check, since
+      - each formula order n // gcd(de, n) divides its n = q^(alpha+beta);
+      - the q are distinct primes (the decomposition check);
+      - so the orders are always pairwise coprime, and their product is
+        the product of the q^beta only when each order is its own q^beta;
+      - `agree is True` means the oracle set is <b^(de)>, so then the
+        oracle order is the formula order.
     """
-    comparisons = [
-        [abscenter.compare(t, bounds.oracle) for t in f.divisor_triples()] for f in cert.factors
-    ]
+    records = []
+    for f in cert.factors:
+        by_beta = []
+        for beta, t in enumerate(f.divisor_triples()):
+            q_beta, c = f.q**beta, abscenter.compare(t, bounds.oracle)
+            ok = c.formula_order == q_beta and c.oracle_order in (None, q_beta)
+            by_beta.append((q_beta, c, ok and c.agree is not False))
+        records.append(by_beta)
     rows = []
-    for betas in itertools.product(*(range(f.alpha + 1) for f in cert.factors)):
-        n1 = math.prod(f.q**beta for f, beta in zip(cert.factors, betas))
-        factors = tuple(by_beta[beta] for by_beta, beta in zip(comparisons, betas))
-        formula_product = math.prod(c.formula_order for c in factors)
-        oracle_product = None
-        if all(c.oracle_order is not None for c in factors):
-            oracle_product = math.prod(c.oracle_order for c in factors)
-        # positive integers are pairwise coprime iff their lcm is their product
-        coprime = math.lcm(*(c.formula_order for c in factors)) == formula_product
-        passed = (
-            formula_product == n1
-            and coprime
-            and all(c.agree is not False for c in factors)
-            and (oracle_product is None or oracle_product == n1)
-        )
+    for choice in itertools.product(*records):
+        factors = tuple(c for _, c, _ in choice)
+        oracles = [c.oracle_order for c in factors]
         rows.append(
             ForwardRow(
-                divisor=n1,
+                divisor=math.prod(q_beta for q_beta, _, _ in choice),
                 factors=factors,
-                formula_product=formula_product,
-                oracle_product=oracle_product,
-                passed=passed,
+                formula_product=math.prod(c.formula_order for c in factors),
+                oracle_product=None if None in oracles else math.prod(oracles),
+                passed=all(ok for _, _, ok in choice),
             )
         )
     rows.sort(key=lambda row: row.divisor)

@@ -153,13 +153,22 @@ def validate_triple(m: int, n: int, r: int) -> ZmTriple:
 
 def iter_valid_triples(max_order: int) -> Iterator[ZmTriple]:
     """All valid triples with m > 1 and m*n <= max_order, in a fixed
-    deterministic order."""
-    for m in range(3, max_order // 2 + 1):
+    deterministic order: m, then r, then n ascending.
+
+    m is odd: for even m a unit r is odd, so 2 divides gcd(m, r-1).  d is
+    found by multiplying r up to cap = max_order // m and r is skipped
+    once d passes it, since every admissible n is a multiple of d."""
+    for m in range(3, max_order // 2 + 1, 2):
+        cap = max_order // m
         for r in range(2, m):
             if math.gcd(r, m) != 1 or math.gcd(r - 1, m) != 1:
                 continue
-            d = multiplicative_order(r, m)
-            for n in range(d, max_order // m + 1, d):
+            d, x = 1, r
+            while x != 1 and d < cap:
+                d, x = d + 1, x * r % m
+            if x != 1:
+                continue
+            for n in range(d, cap + 1, d):
                 if math.gcd(m, n) != 1:
                     continue
                 yield ZmTriple(m=m, n=n, r=r, d=d)

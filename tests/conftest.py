@@ -48,6 +48,6 @@ def small_triples():
 
 @pytest.fixture(scope="session")
 def valid_triples():
-    """Every valid triple with m > 1 and mn <= 2000, built once: the
-    enumeration itself takes over a second."""
+    """Every valid triple with m > 1 and mn <= 2000, built once for the
+    tests that walk all 7318 of them."""
     return list(iter_valid_triples(2000))

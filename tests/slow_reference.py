@@ -21,8 +21,10 @@ whole partial map at every node to checking each new pair once, and
 `is_prime` moved from all twelve Miller-Rabin bases on every input to a
 gcd sieve and only the bases that the size of the input needs,
 `abscenter.compare` moved from one `power` per element of the
-span of b^(d*e) to stepping its exponent, and `geometric_sum_mod` moved
-from a divide-and-conquer recursion to one modular power.  The
+span of b^(d*e) to stepping its exponent, `geometric_sum_mod` moved
+from a divide-and-conquer recursion to one modular power, and
+`iter_valid_triples` moved from the full order of every admissible r
+modulo every m to a walk over odd m bounded by the cap on n.  The
 tests check the package against them; they are never used by the
 package itself.
 """
@@ -30,6 +32,7 @@ package itself.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from group_helpers import divisors, identity_aut, power
 from zmcenter import abscenter, aut, realiser
@@ -42,8 +45,24 @@ from zmcenter.numtheory import (
     _PSI_12,
     geometric_sum_mod,
     is_prime,
+    multiplicative_order,
 )
 from zmcenter.zm import ZmElement, ZmTriple
+
+
+def reference_iter_valid_triples(max_order: int) -> Iterator[ZmTriple]:
+    """Every m from 3 to max_order // 2, even ones included, and the full
+    multiplicative order of every admissible r, however far past the cap
+    it lies."""
+    for m in range(3, max_order // 2 + 1):
+        for r in range(2, m):
+            if math.gcd(r, m) != 1 or math.gcd(r - 1, m) != 1:
+                continue
+            d = multiplicative_order(r, m)
+            for n in range(d, max_order // m + 1, d):
+                if math.gcd(m, n) != 1:
+                    continue
+                yield ZmTriple(m=m, n=n, r=r, d=d)
 
 
 def reference_absolute_center_formula(

@@ -145,10 +145,10 @@ class TestOracle:
             t = validate_triple(1, n, 1)
             assert abscenter.absolute_center_oracle(t) == reference_generator_oracle(t), t
 
-    def test_equals_product_scan(self):
+    def test_equals_product_scan(self, valid_triples):
         regimes = set()
         checked = 0
-        for t in iter_valid_triples(2000):
+        for t in valid_triples:
             assert abscenter.absolute_center_oracle(t) == reference_product_oracle(t), t
             regimes.add(t.regime_guaranteed)
             checked += 1
@@ -182,7 +182,7 @@ class TestOracle:
         abscenter.compare(small_triples[2])
         assert calls == ["absolute_center_formula"]
 
-    def test_gcd_folds_stop_at_their_floor(self, monkeypatch, zm_5_16_2):
+    def test_gcd_folds_stop_at_their_floor(self, monkeypatch, zm_5_16_2, valid_triples):
         read = {"units": 0, "valid_ys": 0}
 
         def counting(name, real):
@@ -195,7 +195,7 @@ class TestOracle:
 
         monkeypatch.setattr(aut, "units", counting("units", aut.units))
         monkeypatch.setattr(aut, "valid_ys", counting("valid_ys", aut.valid_ys))
-        for t in [*iter_valid_triples(2000), *(validate_triple(1, n, 1) for n in range(1, 31))]:
+        for t in [*valid_triples, *(validate_triple(1, n, 1) for n in range(1, 31))]:
             read["units"] = 0
             abscenter.absolute_center_oracle(t)
             # x1 = 1 leaves m, x1 = 2 takes the fold to 1 (m is odd)

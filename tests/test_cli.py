@@ -62,21 +62,51 @@ class TestAut:
         assert doc["count"] == 20
         assert len(doc["triples"]) == 20
 
-    @pytest.mark.parametrize("flags", [[], ["--json"], ["--family", "inner"]])
-    def test_listing_above_oracle_bound_refused_before_enumeration(
-        self, capsys, monkeypatch, flags
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            # the family of ZM(1000003,2,1000002) has about 10^12 members
+            ("1000003 2 1000002", "all family of ZM(1000003,2,1000002) costs 1000005000006"),
+            ("1000003 2 1000002 --json", "all family of ZM(1000003,2,1000002) costs 1000005000006"),
+            ("1000003 2 1000002 --family inner", "inner family of ZM(1000003,2,1000002) costs 2000006"),
+            # order 1994 is within the oracle bound, but the listing has 993012 lines
+            ("997 2 996", "all family of ZM(997,2,996) costs 993012"),
+            ("997 2 996 --json", "all family of ZM(997,2,996) costs 993012"),
+        ],
+    )
+    def test_listing_above_listing_bound_refused_before_enumeration(
+        self, capsys, monkeypatch, argv, refusal
     ):
-        # the family of ZM(1000003,2,1000002) has about 10^12 members
         def refuse(*args, **kwargs):
             raise AssertionError("the family was built")
 
         for name in ("enumerate_family", "units", "valid_ys"):
             monkeypatch.setattr(aut, name, refuse)
-        code, out, err = run(capsys, "aut", "1000003", "2", "1000002", *flags)
-        assert code == 3
-        assert out == ""
-        monkeypatch.undo()
-        assert (code, out, err) == run(capsys, "oracle-check", "1000003", "2", "1000002")
+        code, out, err = run(capsys, "aut", *argv.split())
+        assert (code, out) == (3, "")
+        assert err == f"error: listing the {refusal} > listing bound 100000\n"
+
+    def test_central_listing_of_a_large_group_answers(self, capsys, monkeypatch):
+        # n / d = 1: one central automorphism, and the phi(m) = 10^6 units
+        # are never built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the units were built")
+
+        monkeypatch.setattr(aut, "units", refuse)
+        code, out, err = run(capsys, "aut", "1000003", "2", "1000002", "--family", "central")
+        assert (code, err) == (0, "")
+        assert out == "ZM(1000003,2,1000002)  family central: 1 automorphisms\n(1,0,1)\n"
+
+    def test_listing_bound_admits_a_family_of_exactly_its_cost(self, capsys, monkeypatch):
+        # ZM(5,16,2) is in the guaranteed regime: |Y| = n / d, so its
+        # family costs exactly its 80 members
+        monkeypatch.setattr(aut, "_LISTING_BOUND", 80)
+        code, out, _ = run(capsys, "aut", "5", "16", "2")
+        assert code == 0 and out.startswith("ZM(5,16,2)  family all: 80 automorphisms\n")
+        monkeypatch.setattr(aut, "_LISTING_BOUND", 79)
+        code, out, err = run(capsys, "aut", "5", "16", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: listing the all family of ZM(5,16,2) costs 80 > listing bound 79\n"
 
     def test_count_above_oracle_bound_still_answers(self, capsys):
         code, out, _ = run(capsys, "aut", "1000003", "2", "1000002", "--count-only")

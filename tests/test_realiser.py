@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,8 +27,8 @@ class TestRealise:
         assert len(cert.factors) == 1
         f = cert.factors[0]
         assert (f.q, f.alpha, f.p, f.r) == (2, 2, 5, 2)
-        t = f.triple()
-        assert (t.m, t.n, t.r) == (5, 16, 2)
+        (t,) = cert.triples()
+        assert (t.m, t.n, t.r, t.d) == (5, 16, 2, 4)
 
     def test_two_factor_fixture(self):
         cert = realiser.realise(12)
@@ -134,7 +135,27 @@ class TestCertificateValidation:
     def test_r_at_least_p_accepted(self):
         # r = 5 reduces to 2 mod 3, and ZM(3, 4, 2) is a valid presentation
         good = realiser.FactorWitness(q=2, alpha=1, p=3, r=5)
-        realiser.validate_certificate(realiser.RealiserCertificate(N=2, factors=(good,)))
+        cert = realiser.RealiserCertificate(N=2, factors=(good,))
+        realiser.validate_certificate(cert)
+        assert cert.triples() == [validate_triple(3, 4, 5)] == [ZmTriple(3, 4, 2, 2)]
+
+    def test_triples_are_the_validated_presentations(self, monkeypatch):
+        # triples() reads ZM(p, q^(2 alpha), r mod p) with d = q^alpha off
+        # the witness; validate_certificate proved both, so no presentation
+        # check and no order computation runs again
+        certs = [realiser.realise(n) for n in range(1, 201)]
+        expected = [
+            [validate_triple(f.p, f.q ** (2 * f.alpha), f.r) for f in cert.factors]
+            for cert in certs
+        ]
+        from zmcenter import zm
+
+        calls = []
+        for module in (zm, realiser):
+            for name in ("check_presentation", "validate_triple", "multiplicative_order"):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        assert [cert.triples() for cert in certs] == expected
+        assert calls == []
 
     def test_auxiliary_prime_past_certified_range_is_a_bound_error(self):
         # is_prime cannot certify p >= psi_12; the check refuses it with
@@ -326,6 +347,31 @@ class TestSharedComparisons:
             assert isinstance(c, abscenter.AbsCenterComparison)
             assert c == abscenter.compare(c.triple)
 
+    def test_row_passes_only_if_each_factor_realises_its_share(self, monkeypatch):
+        # realise(6) at divisor 6 takes ZM(5,4,4) and ZM(7,9,4).  Swap
+        # their formula orders to 3 and 2 and skip the oracle: the product
+        # is still 6 and the orders are coprime, but neither factor has
+        # the order its q^beta requires, so the row fails
+        cert = realiser.realise(6)
+        real_compare = abscenter.compare
+        swapped = {(5, 4, 4): 3, (7, 9, 4): 2}
+
+        def injected(t, *args, **kwargs):
+            c = real_compare(t, *args, **kwargs)
+            if (t.m, t.n, t.r) in swapped:
+                return dataclasses.replace(
+                    c, formula_order=swapped[(t.m, t.n, t.r)], oracle_order=None, agree=None
+                )
+            return c
+
+        monkeypatch.setattr(abscenter, "compare", injected)
+        rows = {row.divisor: row for row in realiser.verify_forward(cert)}
+        row = rows[6]
+        assert [str(c.triple) for c in row.factors] == ["ZM(5,4,4)", "ZM(7,9,4)"]
+        assert (row.divisor, row.formula_product, row.passed) == (6, 6, False)
+        assert row.oracle_product is None
+        assert [rows[n].passed for n in (1, 2, 3)] == [True, False, False]
+
     def test_certificate_without_factors_has_one_passing_row(self):
         cert = realiser.RealiserCertificate(N=1, factors=())
         (row,) = realiser.verify_forward(cert)
@@ -440,7 +486,7 @@ class TestVerifyConverse:
     def test_table_bound_refused_before_any_table(self, monkeypatch, n, bounds, culprit):
         cert = realiser.realise(n)
         with pytest.raises(BoundExceededError) as expected:
-            cert.factors[culprit].triple().cayley(bounds.table)
+            cert.triples()[culprit].cayley(bounds.table)
         built = []
         monkeypatch.setattr(ZmTriple, "cayley", lambda t, *a, **k: built.append(t))
         with pytest.raises(BoundExceededError) as refused:

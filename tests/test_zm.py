@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_helpers import center_bruteforce, derived_subgroup, element_order, power
-from slow_reference import reference_cayley
+from slow_reference import reference_cayley, reference_iter_valid_triples
 from zmcenter.errors import BoundExceededError, TripleError
 from zmcenter.numtheory import factorize
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
@@ -57,9 +57,9 @@ class TestValidateTriple:
         assert not zm_5_48_2.regime_guaranteed  # 3 divides 48 but not 4
         assert not zm_7_6_2.regime_guaranteed   # 2 divides 6 but not 3
 
-    def test_regime_flag_matches_factorization(self):
+    def test_regime_flag_matches_factorization(self, valid_triples):
         regimes = set()
-        for t in [*iter_valid_triples(2000), *(validate_triple(1, n, 1) for n in range(1, 31))]:
+        for t in [*valid_triples, *(validate_triple(1, n, 1) for n in range(1, 31))]:
             expected = all(t.d % p == 0 for p, _ in factorize(t.n))
             assert t.regime_guaranteed == expected, t
             regimes.add(expected)
@@ -229,3 +229,10 @@ class TestIterValidTriples:
             seen.add(key)
         assert (5, 16, 2) in seen
         assert (7, 6, 2) in seen
+
+    @pytest.mark.parametrize("cap", [60, 400, 2000])
+    def test_matches_unbounded_reference(self, cap, valid_triples):
+        # same triples, same order, same d as every order computed in full
+        triples = valid_triples if cap == 2000 else list(iter_valid_triples(cap))
+        assert triples == list(reference_iter_valid_triples(cap))
+        assert len(valid_triples) == 7318 and all(t.m % 2 for t in valid_triples)
