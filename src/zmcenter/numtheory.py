@@ -10,12 +10,17 @@ up to 1024 rejects every number with a small factor, and a number below
 once n < psi_k, the least strong pseudoprime to the first k prime bases
 (OEIS A014233), so a number runs only the bases its size needs.
 Factoring is trial division up to a small bound, then Pollard-Brent rho on
-what is left; every factor rho returns is proven prime before it is kept.
+what is left, after a perfect square is split into its roots; every factor
+rho returns is proven prime before it is kept.
 
 The two searches of the construction take the prime q of q^a from the
 caller, which has already certified it by factoring N, and check only that
 q^a is a positive power of that q; they certify no prime of N again.  The
-element search takes the hunt's prime p as certified in the same way.
+prime hunt proves a candidate p = 1 + t*q^a with t <= q^a + 1 by
+Pocklington's lemma (`pocklington_proves_prime`) with x = g^t for a few
+small bases g, and hands it to `is_prime` only when those bases leave it
+open; every verdict is the one `is_prime` gives.  The element search takes
+the hunt's prime p as certified.
 """
 
 from __future__ import annotations
@@ -55,6 +60,13 @@ _PSI = (
 )
 _PSI_12 = _PSI[-1]
 
+# the prime hunt tries Pocklington's lemma with this many bases g = 2, 3, ...
+# before it hands a candidate to `is_prime`.  On a prime p a base fails the
+# lemma only when it is a q-th power residue: for odd q base 2 alone mostly
+# succeeds, but for q = 2 base 2 always fails, being a square modulo every
+# p = 1 (mod 8), and about one such p in twelve is still open after ten bases
+_POCKLINGTON_BASES = 10
+
 # factorize divides by every prime up to _TRIAL_BOUND and hands the
 # cofactor left over to Pollard-Brent rho
 _TRIAL_BOUND = 1 << 10
@@ -85,25 +97,34 @@ _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 _RHO_BATCH = 128
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < psi_12.
-
-    n <= 1024 is looked up among the trial primes.  Above that, a common
-    factor with `_TRIAL_PRODUCT` means a trial prime divides n, and a
-    number below 1031^2 with none is prime, as in `factorize`.  Any other
-    n runs the Miller-Rabin bases in order and is prime once it passes the
-    first k of them with n < psi_k.
-    """
-    if n >= _PSI_12:
-        raise ValueError(
-            f"primality test is only certified below psi_12 = {_PSI_12}, got {n}"
-        )
+def _sieve(n: int) -> bool | None:
+    """Whether n is prime, from the trial primes alone; None when it takes
+    more.  n <= 1024 is looked up among them, a common factor with
+    `_TRIAL_PRODUCT` means a trial prime divides n, and a number below
+    1031^2 with none is prime, as in `factorize`."""
     if n <= _TRIAL_BOUND:
         return n in _TRIAL_PRIME_SET
     if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return False
     if n < _NEXT_PRIME * _NEXT_PRIME:
         return True
+    return None
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < psi_12.
+
+    `_sieve` decides every n below 1031^2 and every n with a factor up to
+    1024.  Any other n runs the Miller-Rabin bases in order and is prime
+    once it passes the first k of them with n < psi_k.
+    """
+    if n >= _PSI_12:
+        raise ValueError(
+            f"primality test is only certified below psi_12 = {_PSI_12}, got {n}"
+        )
+    verdict = _sieve(n)
+    if verdict is not None:
+        return verdict
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a, psi in zip(_MR_BASES, _PSI):
@@ -127,10 +148,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     Trial division by the primes up to `_TRIAL_BOUND` first, stopping early
     once p * p > n.  A cofactor below 1031^2 (1031 = `_NEXT_PRIME`, the
     least prime above the bound) then has no smaller factor and is prime.
-    Any other cofactor goes through `is_prime`, and a composite one is
-    split by Pollard-Brent rho until every part passes `is_prime`.  A
-    cofactor at or above psi_12 cannot be certified and raises
-    BoundExceededError.
+    Any other cofactor that is a perfect square splits into its two roots;
+    the rest go through `is_prime`, and a composite one is split by
+    Pollard-Brent rho until every part is a square or passes `is_prime`.
+    A cofactor at or above psi_12 cannot be certified and raises
+    BoundExceededError, before any of these.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -157,7 +179,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                     f"cofactor {c} is outside the certified range of the "
                     f"primality test (below psi_12 = {_PSI_12})"
                 )
-            if is_prime(c):
+            root = math.isqrt(c)
+            if root * root == c:
+                pending += [root, root]
+            elif is_prime(c):
                 counts[c] = counts.get(c, 0) + 1
             else:
                 f = _pollard_brent(c)
@@ -254,6 +279,47 @@ def _check_power_of(q_pow: int, q: int) -> None:
         raise ValueError(f"{q_pow} is not a positive power of the prime {q}")
 
 
+def pocklington_proves_prime(p: int, q_pow: int, top: int, below: int) -> bool:
+    """True when Pocklington's lemma proves p prime from x^(q^a) = top and
+    x^(q^(a-1)) = below (mod p), for q^a = q_pow with q prime; False says
+    nothing about p.
+
+    The lemma (Pocklington 1914; in this form Brillhart, Lehmer and
+    Selfridge, Math. Comp. 29, 1975): let p < (q^a + 1)^2, which for
+    p = 1 + t*q^a is t <= q^a + 1.  If x^(q^a) = 1 (mod p) and
+    gcd(x^(q^(a-1)) - 1, p) = 1, then p is prime.
+
+    Proof: let l be a prime dividing p.  Then x^(q^a) = 1 (mod l) and
+    x^(q^(a-1)) != 1 (mod l), so ord_l(x) divides q^a but not q^(a-1); q
+    is prime, so ord_l(x) = q^a.  It divides l - 1, so l >= q^a + 1.  A
+    composite p has two such prime factors counted with multiplicity, so
+    p >= (q^a + 1)^2, which the first condition excludes.
+    """
+    return p < (q_pow + 1) ** 2 and top == 1 and math.gcd(below - 1, p) == 1
+
+
+def _pocklington_scan(p: int, t: int, q_pow: int, q: int) -> bool | None:
+    """The prime hunt's test of p = 1 + t*q_pow with t <= q_pow + 1 and
+    p > 1024: True when the lemma proves p prime, False when a base shows
+    it composite, None after `_POCKLINGTON_BASES` inconclusive bases.
+
+    Bases g = 2, 3, ... in turn give x = g^t, so x^(q^a) = g^(p-1) and
+    x^(q^(a-1)) = g^((p-1)/q).  g^(p-1) != 1 fails Fermat's test, and g < p
+    then proves p composite.  For a prime p the lemma fails exactly when g
+    is a q-th power residue, the case in which `find_element_of_order`
+    passes over g too.
+    """
+    cofactor = t * (q_pow // q)  # (p - 1) / q
+    for g in range(2, 2 + _POCKLINGTON_BASES):
+        below = pow(g, cofactor, p)
+        top = pow(below, q, p)
+        if top != 1:
+            return False
+        if pocklington_proves_prime(p, q_pow, top, below):
+            return True
+    return None
+
+
 def find_prime_in_progression(
     q_pow: int,
     exclusions: frozenset[int] | set[int] = frozenset(),
@@ -270,6 +336,10 @@ def find_prime_in_progression(
     explicit budget on t; exhausting it raises rather than answering wrong.
     A candidate at or above psi_12, where `is_prime` is not certified, ends
     the hunt with BoundExceededError.
+
+    Each candidate gets the verdict of `is_prime`, by the cheapest proof at
+    hand: `_sieve` first, then, while t <= q_pow + 1, Pocklington's lemma
+    by `_pocklington_scan`, and `is_prime` only for what both leave open.
     """
     _check_power_of(q_pow, q)
     for t in range(1, budget + 1):
@@ -279,7 +349,14 @@ def find_prime_in_progression(
                 f"prime hunt 1 + t*{q_pow} left the certified range of the "
                 f"primality test (below psi_12 = {_PSI_12}) at t = {t}"
             )
-        if p not in exclusions and is_prime(p):
+        if p in exclusions:
+            continue
+        verdict = _sieve(p)
+        if verdict is None and t <= q_pow + 1:
+            verdict = _pocklington_scan(p, t, q_pow, q)
+        if verdict is None:
+            verdict = is_prime(p)
+        if verdict:
             return p
     raise SearchBudgetError(
         f"no admissible prime 1 + t*{q_pow} with t <= {budget}"

@@ -43,6 +43,7 @@ from .numtheory import (
     find_prime_in_progression,
     is_prime,
     multiplicative_order,
+    pocklington_proves_prime,
 )
 from .zm import ZmTriple, check_presentation, validate_triple
 
@@ -93,15 +94,36 @@ class RealiserCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RealiserCertificate":
-        if doc.get("schema") != 1:
-            raise CertificateError(f"unsupported certificate schema: {doc.get('schema')!r}")
-        return cls(
-            N=doc["N"],
-            factors=tuple(
-                FactorWitness(q=f["q"], alpha=f["alpha"], p=f["p"], r=f["r"])
-                for f in doc["factors"]
-            ),
+        """The certificate a JSON document describes, checked.  A missing
+        field, or a value of the wrong JSON type, is a CertificateError
+        that names the field."""
+        schema = doc.get("schema")
+        if type(schema) is not int or schema != 1:
+            raise CertificateError(f"unsupported certificate schema: {schema!r}")
+        N = _field(doc, "N", int, "N")
+        witnesses = []
+        for i, f in enumerate(_field(doc, "factors", list, "factors")):
+            if type(f) is not dict:
+                raise CertificateError(
+                    f"certificate field factors[{i}] must be an object, got {f!r}"
+                )
+            fields = {k: _field(f, k, int, f"factors[{i}].{k}") for k in ("q", "alpha", "p", "r")}
+            witnesses.append(FactorWitness(**fields))
+        return cls(N=N, factors=tuple(witnesses))
+
+
+def _field(obj: dict, key: str, kind: type, name: str):
+    """obj[key], which must be present and of exactly type kind, so that a
+    JSON true or 2.0 is no integer; CertificateError naming the field
+    otherwise."""
+    if key not in obj:
+        raise CertificateError(f"certificate field {name} is missing")
+    value = obj[key]
+    if type(value) is not kind:
+        raise CertificateError(
+            f"certificate field {name} must be of type {kind.__name__}, got {value!r}"
         )
+    return value
 
 
 def validate_certificate(
@@ -117,7 +139,12 @@ def validate_certificate(
     computed it (`realise` does); without it N is factored here, so a
     loaded certificate is checked from scratch.  Each factor's presentation
     ZM(p, q^(2 alpha), r) is checked without computing ord_p(r), which the
-    two modular powers before it have already proven to be q^alpha.
+    two modular powers before it have already proven to be q^alpha.  When
+    p < (q^alpha + 1)^2, which is t <= q^alpha + 1 for p = 1 + t*q^alpha,
+    those two powers also prove p prime by `pocklington_proves_prime`,
+    with r as the witness.  `is_prime` decides every p the lemma does not
+    prove, so a bad certificate is refused by the same test with the same
+    message.
 
     The factor orders p * q^(2 alpha) are pairwise coprime once these
     checks pass, so no separate test is made.  Each q is a distinct prime
@@ -147,13 +174,20 @@ def validate_certificate(
                 f"auxiliary prime {f.p} is outside the certified range of the "
                 f"primality test (below psi_12 = {_PSI_12})"
             )
-        if not is_prime(f.p):
+        # q is prime (the factors match factorize(N)), so ord_p(r) = q^alpha
+        # iff r^(q^alpha) = 1 and r^(q^(alpha-1)) != 1; the same two powers
+        # prove p prime by Pocklington's lemma when it applies; is_prime
+        # refuses every p < 2, which has no powers mod p to speak of
+        proven = False
+        if f.p > 1:
+            below = pow(f.r, f.q_pow // f.q, f.p)
+            top = pow(below, f.q, f.p)
+            proven = pocklington_proves_prime(f.p, f.q_pow, top, below)
+        if not proven and not is_prime(f.p):
             raise CertificateError(f"{f.p} is not prime")
         if (f.p - 1) % f.q_pow != 0:
             raise CertificateError(f"{f.p} is not 1 mod {f.q_pow}")
-        # q is prime (the factors match factorize(N)), so ord_p(r) = q^alpha
-        # iff r^(q^alpha) = 1 and r^(q^(alpha-1)) != 1
-        if pow(f.r, f.q_pow, f.p) != 1 or pow(f.r, f.q_pow // f.q, f.p) == 1:
+        if top != 1 or below == 1:
             if f.r % f.p == 0:  # a multiple of p has no order mod p
                 raise CertificateError(
                     f"{f.r} is not a unit mod {f.p}, so its order is not {f.q_pow}"

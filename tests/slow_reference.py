@@ -24,7 +24,9 @@ gcd sieve and only the bases that the size of the input needs,
 span of b^(d*e) to stepping its exponent, `geometric_sum_mod` moved
 from a divide-and-conquer recursion to one modular power, and
 `iter_valid_triples` moved from the full order of every admissible r
-modulo every m to a walk over odd m bounded by the cap on n.  The
+modulo every m to a walk over odd m bounded by the cap on n, and the
+prime hunt and the certificate check moved from `is_prime` on every
+auxiliary prime to Pocklington's lemma wherever it applies.  The
 tests check the package against them; they are never used by the
 package itself.
 """
@@ -38,16 +40,18 @@ from group_helpers import divisors, identity_aut, power
 from zmcenter import abscenter, aut, realiser
 from zmcenter.aut import AutTriple
 from zmcenter.config import Bounds, DEFAULT_BOUNDS
-from zmcenter.errors import BoundExceededError
+from zmcenter.errors import BoundExceededError, CertificateError, SearchBudgetError
 from zmcenter.genericgroup import CayleyGroup, Subgroup, cyclic_group
 from zmcenter.numtheory import (
     _MR_BASES,
     _PSI_12,
+    _check_power_of,
+    factorize,
     geometric_sum_mod,
     is_prime,
     multiplicative_order,
 )
-from zmcenter.zm import ZmElement, ZmTriple
+from zmcenter.zm import ZmElement, ZmTriple, check_presentation
 
 
 def reference_iter_valid_triples(max_order: int) -> Iterator[ZmTriple]:
@@ -402,6 +406,72 @@ def reference_is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def reference_find_prime_in_progression(
+    q_pow: int,
+    exclusions: frozenset[int] | set[int] = frozenset(),
+    budget: int = DEFAULT_BOUNDS.prime_budget,
+    *,
+    q: int,
+) -> int:
+    """The prime hunt with `is_prime` on every candidate: the smallest
+    prime p = 1 + t*q_pow, t = 1..budget, not in exclusions."""
+    _check_power_of(q_pow, q)
+    for t in range(1, budget + 1):
+        p = 1 + t * q_pow
+        if p >= _PSI_12:
+            raise BoundExceededError(
+                f"prime hunt 1 + t*{q_pow} left the certified range of the "
+                f"primality test (below psi_12 = {_PSI_12}) at t = {t}"
+            )
+        if p not in exclusions and is_prime(p):
+            return p
+    raise SearchBudgetError(
+        f"no admissible prime 1 + t*{q_pow} with t <= {budget}"
+    )
+
+
+def reference_validate_certificate(cert, decomposition=None) -> None:
+    """`realiser.validate_certificate` with `is_prime` on every auxiliary
+    prime before the order check.  It takes any object with the fields
+    N and factors, since a `RealiserCertificate` checks itself on
+    construction."""
+    if cert.N < 1:
+        raise CertificateError(f"N must be >= 1, got {cert.N}")
+    if decomposition is None:
+        decomposition = factorize(cert.N)
+    got = tuple((f.q, f.alpha) for f in cert.factors)
+    if got != decomposition:
+        raise CertificateError(
+            f"factors {got} do not match the decomposition {decomposition} of {cert.N}"
+        )
+    qs = {f.q for f in cert.factors}
+    ps = [f.p for f in cert.factors]
+    if len(set(ps)) != len(ps):
+        raise CertificateError(f"auxiliary primes are not distinct: {ps}")
+    if qs & set(ps):
+        raise CertificateError(f"auxiliary primes collide with {sorted(qs & set(ps))}")
+    for f in cert.factors:
+        if f.p >= _PSI_12:
+            raise BoundExceededError(
+                f"auxiliary prime {f.p} is outside the certified range of the "
+                f"primality test (below psi_12 = {_PSI_12})"
+            )
+        if not is_prime(f.p):
+            raise CertificateError(f"{f.p} is not prime")
+        if (f.p - 1) % f.q_pow != 0:
+            raise CertificateError(f"{f.p} is not 1 mod {f.q_pow}")
+        if pow(f.r, f.q_pow, f.p) != 1 or pow(f.r, f.q_pow // f.q, f.p) == 1:
+            if f.r % f.p == 0:
+                raise CertificateError(
+                    f"{f.r} is not a unit mod {f.p}, so its order is not {f.q_pow}"
+                )
+            raise CertificateError(
+                f"order of {f.r} mod {f.p} is {multiplicative_order(f.r, f.p)}, "
+                f"expected {f.q_pow}"
+            )
+        check_presentation(f.p, f.q ** (2 * f.alpha), f.r)
 
 
 def reference_is_associative(table: tuple[tuple[int, ...], ...]) -> bool:

@@ -159,8 +159,8 @@ class TestRealise:
         assert calls == [18809838571]
         assert orders == []
 
-    def test_prime_n_is_certified_once(self, capsys, monkeypatch):
-        n = 10**12 + 39  # a 13-digit prime
+    @staticmethod
+    def _is_prime_calls(monkeypatch) -> list[int]:
         calls = []
         real_is_prime = numtheory.is_prime
 
@@ -170,14 +170,38 @@ class TestRealise:
 
         for module in (numtheory, realiser):
             monkeypatch.setattr(module, "is_prime", is_prime)
+        return calls
+
+    def test_prime_n_is_certified_once(self, capsys, monkeypatch):
+        n = 10**12 + 39  # a 13-digit prime
+        calls = self._is_prime_calls(monkeypatch)
         code, out, _ = run(capsys, "realise", str(n), "--json")
         assert code == 0
         assert json.loads(out)["N"] == n
         # factorize(N) certifies N; the hunt and the certificate check test
-        # only candidates 1 + t*N, and each certifies the auxiliary p once
+        # only candidates 1 + t*N.  The auxiliary p = 1 + t*N has t <= N + 1,
+        # so Pocklington's lemma proves it, in the hunt with a base g and in
+        # the check with r, and is_prime never sees it
         assert calls.count(n) == 1
         (factor,) = json.loads(out)["factors"]
-        assert calls.count(factor["p"]) == 2
+        assert (factor["p"] - 1) // n <= n + 1
+        assert calls.count(factor["p"]) == 0
+
+    def test_auxiliary_prime_beyond_the_lemma_is_certified_by_is_prime(
+        self, capsys, monkeypatch
+    ):
+        # N = 210 excludes 3, 5 and 7, so the q = 2 factor takes p = 11 =
+        # 1 + 5*2: t = 5 > q^alpha + 1 = 3 puts it outside the lemma, and
+        # the certificate check hands it to is_prime.  The sieve decides
+        # it in the hunt.  The q = 3 factor takes p = 13 = 1 + 4*3, which
+        # the lemma proves with r
+        calls = self._is_prime_calls(monkeypatch)
+        code, out, _ = run(capsys, "realise", "210", "--json")
+        assert code == 0
+        ps = {f["q"]: f["p"] for f in json.loads(out)["factors"]}
+        assert (ps[2], ps[3]) == (11, 13)
+        assert calls.count(11) == 1
+        assert calls.count(13) == 0
 
     def test_certificate_is_checked_once(self, capsys, monkeypatch):
         calls = []

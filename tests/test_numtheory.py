@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from group_helpers import divisors
 from slow_reference import (
     reference_factorize,
+    reference_find_prime_in_progression,
     reference_geometric_sum_mod,
     reference_is_prime,
 )
@@ -23,6 +24,7 @@ from zmcenter.numtheory import (
     geometric_sum_mod,
     is_prime,
     multiplicative_order,
+    pocklington_proves_prime,
 )
 
 
@@ -170,8 +172,9 @@ class TestFactorize:
             assert factorize(n) == reference_factorize(n), n
 
     def test_matches_reference_on_seeded_inputs(self):
-        # random n < 10^12, semiprimes of the benchmark's shape and prime
-        # squares; the reference trial-divides up to the second largest
+        # random n < 10^12, semiprimes of the benchmark's shape, and
+        # p^2, p^4, p^2*q and (pq)^2, whose squares `factorize` splits by
+        # their roots; the reference trial-divides up to the second largest
         # prime factor (about 12 s for this sample), which sets its size
         rng = random.Random("factorize-reference")
         ns = [rng.randrange(1, 10**12) for _ in range(300)]
@@ -180,6 +183,9 @@ class TestFactorize:
             for _ in range(30)
         ]
         ns += [_prime_between(rng, 20_000, 25_000) ** 2 for _ in range(30)]
+        for _ in range(5):
+            p, q = (_prime_between(rng, 20_000, 25_000) for _ in range(2))
+            ns += [p**4, p**2 * _prime_between(rng, 10**5, 10**6), (p * q) ** 2]
         for n in ns:
             assert factorize(n) == reference_factorize(n), n
 
@@ -403,3 +409,85 @@ class TestFindElementOfOrder:
         r = find_element_of_order(p, q_pow, q=q)
         assert 2 <= r < p
         assert multiplicative_order(r, p) == q_pow
+
+
+def _outcome(f, *args, **kwargs):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (BoundExceededError, SearchBudgetError) as exc:
+        return type(exc), str(exc)
+
+
+def _primes_below(n: int) -> bytearray:
+    """sieve[k] == 1 iff k is prime, for 0 <= k < n."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return sieve
+
+
+class TestPocklington:
+    def test_hunt_matches_the_is_prime_reference(self):
+        # the hunt proves candidates by the lemma where it can; every
+        # verdict must be is_prime's, so it stops at the same p, or raises
+        # the same refusal
+        prime = _primes_below(3001)
+        cases = [
+            (q**a, q) for q in range(2, 3001) if prime[q]
+            for a in range(1, 12) if q**a <= 3000
+        ]
+        rng = random.Random("pocklington-hunt")
+        large = (rng.randrange(10**12, 10**15) for _ in range(2000))
+        cases += [(q, q) for q in large if reference_is_prime(q)][:20]
+        below_2_62 = [n for n in range(2**62 - 1, 2**62 - 2000, -2) if reference_is_prime(n)]
+        cases += [(q, q) for q in below_2_62[:5]]
+        cases += [(2**k, 2) for k in range(1, 71)]
+        for q_pow, q in cases:
+            assert _outcome(find_prime_in_progression, q_pow, {q}, q=q) == _outcome(
+                reference_find_prime_in_progression, q_pow, {q}, q=q
+            ), q_pow
+
+    def test_never_accepts_a_composite(self):
+        # every p = 1 + t*q^a < 10^6 with t <= q^a + 1: the hunt's scan of
+        # bases accepts no composite and rejects no prime above the trial
+        # bound, the only candidates the hunt hands it
+        limit = 10**6
+        prime = _primes_below(limit)
+        scanned = accepted = 0
+        for q in range(2, limit):
+            if not prime[q]:
+                continue
+            q_pow = q
+            while q_pow < limit:
+                for t in range(1, min(q_pow + 1, (limit - 2) // q_pow) + 1):
+                    p = 1 + t * q_pow
+                    verdict = numtheory._pocklington_scan(p, t, q_pow, q)
+                    if prime[p]:
+                        assert verdict is not False or p <= numtheory._TRIAL_BOUND, p
+                        accepted += verdict is True
+                    else:
+                        assert verdict is not True, (p, q_pow)
+                    scanned += 1
+                q_pow *= q
+        assert scanned > 700_000 and accepted > 50_000
+
+    def test_carmichael_1729_is_refused_by_every_witness(self):
+        # 1729 = 7 * 13 * 19 = 1 + 27 * 64 passes Fermat's test to every
+        # base prime to it, and t = 27 <= 2^6 + 1; no x proves it prime
+        assert 1729 == 1 + 27 * 64
+        for x in range(1729):
+            below = pow(x, 32, 1729)
+            assert not pocklington_proves_prime(1729, 64, pow(below, 2, 1729), below), x
+        assert numtheory._pocklington_scan(1729, 27, 64, 2) is False
+
+    def test_bound_is_what_refuses_the_square_just_past_it(self):
+        # (q^a + 1)^2 = 1 + (q^a + 2) * q^a is the least composite the bound
+        # must refuse: 8 has order 2 modulo 9 and 3, so only p < (2 + 1)^2
+        # fails for p = 9
+        top, below = pow(8, 2, 9), pow(8, 1, 9)
+        assert top == 1 and math.gcd(below - 1, 9) == 1
+        assert not pocklington_proves_prime(9, 2, top, below)
+        assert pocklington_proves_prime(7, 2, pow(6, 2, 7), 6)

@@ -8,7 +8,7 @@ import types
 import pytest
 
 from group_helpers import NAMED_GROUPS, divisors
-from slow_reference import reference_verify_forward
+from slow_reference import reference_validate_certificate, reference_verify_forward
 from zmcenter import abscenter, cli, genericgroup, realiser, schemas
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError, TripleError
@@ -102,8 +102,9 @@ class TestCertificateValidation:
 
     def test_composite_auxiliary_prime_rejected(self):
         # 8 has order 2 mod 9 and ZM(9, 4, 8) is a valid presentation, so
-        # only the primality test, the one certification of p outside the
-        # prime hunt, rejects this witness
+        # only the primality test rejects this witness.  9 = 1 + 4*2 has
+        # t = 4 > q^alpha + 1 = 3, outside Pocklington's lemma, so is_prime
+        # decides it
         bad = realiser.FactorWitness(q=2, alpha=1, p=9, r=8)
         check_presentation(9, 4, 8)
         with pytest.raises(CertificateError, match="9 is not prime"):
@@ -186,6 +187,74 @@ class TestCertificateValidation:
         assert doc["schema"] == 1
         with pytest.raises(CertificateError):
             realiser.RealiserCertificate.from_json_dict({**doc, "schema": 2})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("N"), "field N is missing"),
+            (lambda d: d["factors"][1].pop("r"), r"field factors\[1\]\.r is missing"),
+            (lambda d: d.pop("factors"), "field factors is missing"),
+            (lambda d: d.update(N="12"), "field N must be of type int, got '12'"),
+            (lambda d: d.update(N=True), "field N must be of type int, got True"),
+            (lambda d: d["factors"][0].update(r=2.0), r"factors\[0\]\.r must be .* got 2\.0"),
+            (lambda d: d["factors"][0].update(p=None), r"factors\[0\]\.p must be .* got None"),
+            (lambda d: d.update(factors={}), "field factors must be of type list"),
+            (lambda d: d["factors"].append(7), r"factors\[2\] must be an object, got 7"),
+            (lambda d: d.update(schema=True), "unsupported certificate schema: True"),
+        ],
+    )
+    def test_malformed_document_names_the_field(self, edit, message):
+        # a missing key or a value of the wrong JSON type is refused as a
+        # certificate error, never as a KeyError or TypeError; a JSON true
+        # is no integer even though True == 1
+        doc = json.loads(schemas.certificate(realiser.realise(12)))
+        edit(doc)
+        with pytest.raises(CertificateError, match=message):
+            realiser.RealiserCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "N, mutation",
+        [
+            # composite p: 1729 = 1 + 27*64 passes Fermat's test to every
+            # unit base and has t = 27 <= 2^6 + 1; 9 = 1 + 4*2 and
+            # 25 = 1 + 6*4 = (4 + 1)^2 lie just past the lemma's bound, and
+            # 7 has order 4 mod 25, so only the bound refuses it there
+            (64, {"p": 1729, "r": 1728}),
+            (64, {"p": 1729, "r": 2}),
+            (2, {"p": 9, "r": 8}),
+            (4, {"p": 25, "r": 7}),
+            (4, {"p": 25, "r": 2}),
+            # 15 = 3 * 5 is not 1 mod 4, and 7 has order 4 mod 5 and 1
+            # mod 3: 7^2 = 4 != 1 mod 15, yet gcd(4 - 1, 15) = 3 refuses it
+            (4, {"p": 15, "r": 7}),
+            # an r of the wrong order, below or above a prime p
+            (4, {"r": 4}),
+            (10**12 + 39, {"r": 1}),
+            (64, {"r": 9}),
+            # p not 1 mod q^alpha: 7 is prime and 1 mod 2, not mod 4
+            (4, {"p": 7, "r": 6}),
+            (64, {"p": 97}),
+            # r a multiple of p
+            (4, {"r": 0}),
+            (64, {"r": 193 * 3}),
+            # p at or past psi_12
+            (2, {"p": 318665857834031151167461, "r": 1}),
+            (2, {"p": 318665857834031151167463, "r": 1}),
+        ],
+    )
+    def test_mutated_certificate_matches_the_is_prime_reference(self, N, mutation):
+        # the check proves p by the lemma where it applies and calls
+        # is_prime otherwise; a refusal has the type and message of the
+        # reference, which calls is_prime on every p
+        cert = realiser.realise(N)
+        factors = (dataclasses.replace(cert.factors[0], **mutation),) + cert.factors[1:]
+        loose = types.SimpleNamespace(N=N, factors=factors)
+        with pytest.raises(Exception) as expected:
+            reference_validate_certificate(loose)
+        with pytest.raises(type(expected.value)) as got:
+            realiser.RealiserCertificate(N=N, factors=factors)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSubgroupForDivisor:
