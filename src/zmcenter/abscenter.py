@@ -45,16 +45,20 @@ Why the three subfamilies suffice:
 The closure test in tests/test_aut.py checks in code that the three
 subfamilies generate the enumerated family.
 
-`compare` is the one place both paths meet.  It runs the oracle once and
-checks there that the closed-form generator is among the fixed points; a
-generator that is not fixed is a fatal internal inconsistency
-(RuntimeError), never a disagreement.
+`compare` is the one place both paths meet, and `AbsCenterComparison` is
+their one record.  `absolute_center_formula` returns it with the oracle
+not run; `compare` runs the oracle once, when the order is within the
+oracle bound, and completes the record.  `oracle_order is None` is the
+one statement that the oracle was skipped, and the command line reads
+its bound refusal off it.  `compare` checks that the closed-form
+generator is among the fixed points; a generator that is not fixed is a
+fatal internal inconsistency (RuntimeError), never a disagreement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import aut
@@ -70,15 +74,22 @@ def exponent_e(t: ZmTriple) -> int:
 
 
 @dataclass(frozen=True)
-class AbsCenterResult:
+class AbsCenterComparison:
+    """The closed form and, once `compare` has run it, the oracle.  Facts
+    of the group itself (d, the center, the regime) are read off `triple`.
+    """
+
+    triple: ZmTriple
     e: int
-    generator: ZmElement  # b^(d*e)
-    order: int            # n / gcd(d*e, n)
-    regime_guaranteed: bool
+    formula_order: int            # n / gcd(d*e, n)
+    formula_generator: ZmElement  # b^(d*e)
+    oracle_order: int | None = None  # None: the oracle did not run
+    agree: bool | None = None        # None: the oracle did not run
 
 
-def absolute_center_formula(t: ZmTriple) -> AbsCenterResult:
-    """Closed-form absolute center <b^(d*e)>, with no enumeration.
+def absolute_center_formula(t: ZmTriple) -> AbsCenterComparison:
+    """Closed-form absolute center <b^(d*e)>, with no enumeration: the
+    comparison with the oracle not run.
 
     That b^(d*e) is fixed by every automorphism is checked in `compare`,
     against the oracle's fixed-point set.
@@ -89,12 +100,7 @@ def absolute_center_formula(t: ZmTriple) -> AbsCenterResult:
         )
     e = exponent_e(t)
     de = t.d * e
-    return AbsCenterResult(
-        e=e,
-        generator=t.element(de, 0),
-        order=t.n // math.gcd(de, t.n),
-        regime_guaranteed=t.regime_guaranteed,
-    )
+    return AbsCenterComparison(t, e, t.n // math.gcd(de, t.n), t.element(de, 0))
 
 
 def absolute_center_oracle(
@@ -153,21 +159,6 @@ def _gcd_fold(g: int, values: Iterable[int], floor: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class AbsCenterComparison:
-    """Both paths side by side, plus the verdict."""
-
-    triple: ZmTriple
-    d: int
-    e: int
-    formula_order: int
-    formula_generator: ZmElement
-    center_order: int
-    regime_guaranteed: bool
-    oracle_order: int | None   # None when the scan is out of bounds
-    agree: bool | None         # None when the oracle did not run
-
-
 def compare(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> AbsCenterComparison:
     """Run the closed form, run the oracle if it fits, compare exactly.
 
@@ -176,30 +167,19 @@ def compare(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> AbsCenter
     the generator must be one of its fixed points, else RuntimeError: b^(de)
     is fixed by (x1, x2, y) iff n | de*(y-1) and m | x2*[de]_r, which the
     parameter constraints guarantee, so a miss means they are broken.
+    Above the bound the formula's record is returned as it is.
     """
     formula = absolute_center_formula(t)
-    _, center_order = t.center()
-    oracle_order: int | None = None
-    agree: bool | None = None
-    if t.order <= oracle_bound:
-        oracle = absolute_center_oracle(t, oracle_bound)
-        if formula.generator not in oracle:
-            raise RuntimeError(
-                f"closed-form generator {formula.generator} of {t} is not fixed "
-                "by the automorphism family: parameter constraints are broken"
-            )
-        oracle_order = len(oracle)
-        # the powers of b^(de) are the b^u, u a multiple of gcd(de, n)
-        span = range(0, t.n, math.gcd(formula.generator.u, t.n))
-        agree = oracle == {ZmElement(u, 0) for u in span}
-    return AbsCenterComparison(
-        triple=t,
-        d=t.d,
-        e=formula.e,
-        formula_order=formula.order,
-        formula_generator=formula.generator,
-        center_order=center_order,
-        regime_guaranteed=formula.regime_guaranteed,
-        oracle_order=oracle_order,
-        agree=agree,
-    )
+    if t.order > oracle_bound:
+        return formula
+    oracle = absolute_center_oracle(t, oracle_bound)
+    generator = formula.formula_generator
+    if generator not in oracle:
+        raise RuntimeError(
+            f"closed-form generator {generator} of {t} is not fixed "
+            "by the automorphism family: parameter constraints are broken"
+        )
+    # the powers of b^(de) are the b^u, u a multiple of gcd(de, n)
+    span = range(0, t.n, math.gcd(generator.u, t.n))
+    agree = oracle == {ZmElement(u, 0) for u in span}
+    return replace(formula, oracle_order=len(oracle), agree=agree)

@@ -8,11 +8,12 @@ On top of those constraints this module always enforces gcd(y, n) = 1:
 without it the map is a well-defined endomorphism but collapses part of
 <b>, so it is not bijective.  Whenever every prime of n divides d the
 extra condition is implied by y = 1 (mod d) and the classical count
-m*phi(m)*n/d is exact; outside that regime the counting formulas carry a
-"regime" flag and the brute-force engine is the ground truth.  With n2
-the part of n prime to d, the family has m*phi(m)*(n/n2/d)*phi(n2)
-members, so the classical count is wrong exactly when n2 > 1; that is
-checked, with its proof, in tests/test_abscenter.py::TestRegimes.
+m*phi(m)*n/d is exact; outside that regime (the triple's
+`regime_guaranteed` is False) the brute-force engine is the ground
+truth.  With n2 the part of n prime to d, the family has
+m*phi(m)*(n/n2/d)*phi(n2) members, so the classical count is wrong
+exactly when n2 > 1; that is checked, with its proof, in
+tests/test_abscenter.py::TestRegimes.
 """
 
 from __future__ import annotations
@@ -155,7 +156,6 @@ class AutCounts:
     central: int
     ia: int
     complete: bool
-    regime_guaranteed: bool
 
 
 def aut_counts(t: ZmTriple) -> AutCounts:
@@ -171,11 +171,19 @@ def aut_counts(t: ZmTriple) -> AutCounts:
         central=n // d,
         ia=m * phi,
         complete=(phi == n == d),
-        regime_guaranteed=t.regime_guaranteed,
     )
 
 
 def to_permutation(t: ZmTriple, alpha: AutTriple) -> tuple[int, ...]:
     """The automorphism as a permutation of the u-major element enumeration
-    (the same order the Cayley export uses)."""
-    return tuple(t.index_of(apply(t, alpha, g)) for g in t.elements())
+    (the same order the Cayley export uses): `apply` with one
+    geometric_sum_mod per u, b^u a^v going to index
+    ((y*u) mod n)*m + (x1*v + x2*[u]_r) mod m for each v < m."""
+    m, n = t.m, t.n
+    x1, x2, y = alpha
+    perm: list[int] = []
+    for u in range(n):
+        block = (y * u) % n * m
+        shift = x2 * geometric_sum_mod(t.r, u, m)
+        perm.extend([block + (x1 * v + shift) % m for v in range(m)])
+    return tuple(perm)

@@ -45,11 +45,6 @@ def _bounds_from_args(args: argparse.Namespace) -> Bounds:
     )
 
 
-def _refuse_above_oracle_bound(t, bounds: Bounds) -> None:
-    if t.order > bounds.oracle:
-        raise BoundExceededError(f"{t} has order {t.order} > oracle bound {bounds.oracle}")
-
-
 def _yesno(flag: bool | None) -> str:
     if flag is None:
         return "skipped"
@@ -58,16 +53,17 @@ def _yesno(flag: bool | None) -> str:
 
 def _cmd_abscenter(args) -> int:
     t = validate_triple(args.m, args.n, args.r)
-    cmp = abscenter.compare(t, _bounds_from_args(args).oracle)
+    cmp = abscenter.compare(t)
     if args.json:
         _emit_json(schemas.abscenter(cmp))
         return EXIT_OK
-    regime = "guaranteed" if cmp.regime_guaranteed else "unguaranteed (compare with oracle)"
+    regime = "guaranteed" if t.regime_guaranteed else "unguaranteed (compare with oracle)"
+    _, center_order = t.center()
     print(f"{t}  order {t.order}")
-    print(f"d = {cmp.d}   e = {cmp.e}   regime: {regime}")
-    print(f"Z = <b^{t.d}>  order {cmp.center_order}")
+    print(f"d = {t.d}   e = {cmp.e}   regime: {regime}")
+    print(f"Z = <b^{t.d}>  order {center_order}")
     print(f"L = <b^{cmp.formula_generator.u}>  order {cmp.formula_order}  (formula)")
-    print(f"L equals Z: {_yesno(cmp.formula_order == cmp.center_order)}")
+    print(f"L equals Z: {_yesno(cmp.formula_order == center_order)}")
     if cmp.oracle_order is None:
         print("oracle: skipped (above bound)")
     else:
@@ -82,7 +78,7 @@ def _cmd_aut(args) -> int:
         if args.json:
             _emit_json(schemas.aut_counts(t, counts))
             return EXIT_OK
-        regime = "guaranteed" if counts.regime_guaranteed else "unguaranteed (compare with oracle)"
+        regime = "guaranteed" if t.regime_guaranteed else "unguaranteed (compare with oracle)"
         print(f"{t}  order {t.order}   regime: {regime}")
         print(f"|Aut| = {counts.aut}   |Inn| = {counts.inn}   |Out| = {counts.out}")
         print(f"central = {counts.central}   IA = {counts.ia}   complete: {_yesno(counts.complete)}")
@@ -156,7 +152,8 @@ def _cmd_oracle_check(args) -> int:
     bounds = _bounds_from_args(args)
     cmp = abscenter.compare(t, bounds.oracle)
     # refuse before enumerating a family that no comparison would use
-    _refuse_above_oracle_bound(t, bounds)
+    if cmp.oracle_order is None:
+        raise BoundExceededError(f"{t} has order {t.order} > oracle bound {bounds.oracle}")
     enumerated = aut.family_size(t)
     formula_aut = aut.aut_counts(t).aut
     brute_aut: int | None = None

@@ -59,16 +59,12 @@ class FactorWitness:
     def q_pow(self) -> int:
         return self.q**self.alpha
 
-    def divisor_triple(self, beta: int) -> ZmTriple:
-        """ZM(p, q^(alpha+beta), r): this factor in the subgroup realizing
-        a divisor in which q has exponent beta."""
-        return validate_triple(self.p, self.q ** (self.alpha + beta), self.r)
-
     def divisor_triples(self) -> list[ZmTriple]:
-        """`divisor_triple(beta)` for beta = 0..alpha.  d = ord_p(r) does
-        not depend on n, so only beta = 0 computes it; every beta's
-        presentation is still checked."""
-        first = self.divisor_triple(0)
+        """ZM(p, q^(alpha+beta), r) for beta = 0..alpha: this factor in the
+        subgroup realizing a divisor in which q has exponent beta.
+        d = ord_p(r) does not depend on n, so only beta = 0 computes it;
+        every beta's presentation is still checked."""
+        first = validate_triple(self.p, self.q_pow, self.r)
         return [first] + [
             ZmTriple(m=self.p, n=n, r=check_presentation(self.p, n, self.r), d=first.d)
             for n in (self.q ** (self.alpha + beta) for beta in range(1, self.alpha + 1))
@@ -223,7 +219,7 @@ def subgroup_for_divisor(cert: RealiserCertificate, n1: int) -> list[ZmTriple]:
     if n1 < 1 or cert.N % n1 != 0:
         raise ValueError(f"{n1} does not divide {cert.N}")
     exponents = dict(factorize(n1))
-    return [f.divisor_triple(exponents.get(f.q, 0)) for f in cert.factors]
+    return [f.divisor_triples()[exponents.get(f.q, 0)] for f in cert.factors]
 
 
 # ---------------------------------------------------------------------------

@@ -76,18 +76,21 @@ _ABSCENTER = _template(
 
 
 def abscenter(c: AbsCenterComparison) -> str:
-    """The `abscenter --json` document."""
+    """The `abscenter --json` document: the comparison `c`, and d, the
+    center and the regime read off its triple."""
+    t = c.triple
+    _, center_order = t.center()
     return _ABSCENTER % (
         _flag(c.agree),
-        c.center_order,
-        c.d,
+        center_order,
+        t.d,
         c.e,
-        _flag(c.formula_order == c.center_order),
+        _flag(c.formula_order == center_order),
         c.formula_order,
         c.formula_generator.u,
         _int(c.oracle_order),
-        _flag(c.regime_guaranteed),
-        triple(c.triple),
+        _flag(t.regime_guaranteed),
+        triple(t),
     )
 
 
@@ -227,7 +230,7 @@ def aut_counts(t: ZmTriple, counts: AutCounts) -> str:
         counts.ia,
         counts.inn,
         counts.out,
-        _flag(counts.regime_guaranteed),
+        _flag(t.regime_guaranteed),
         triple(t),
     )
 

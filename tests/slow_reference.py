@@ -26,9 +26,10 @@ from a divide-and-conquer recursion to one modular power, and
 `iter_valid_triples` moved from the full order of every admissible r
 modulo every m to a walk over odd m bounded by the cap on n, and the
 prime hunt and the certificate check moved from `is_prime` on every
-auxiliary prime to Pocklington's lemma wherever it applies.  The
-tests check the package against them; they are never used by the
-package itself.
+auxiliary prime to Pocklington's lemma wherever it applies, and
+`aut.to_permutation` moved from one `aut.apply` per element to one
+geometric sum per u.  The tests check the package against them; they
+are never used by the package itself.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def reference_iter_valid_triples(max_order: int) -> Iterator[ZmTriple]:
 
 def reference_absolute_center_formula(
     t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
-) -> abscenter.AbsCenterResult:
+) -> abscenter.AbsCenterComparison:
     """Closed form plus the per-member recheck: when the group is small
     enough, the two divisibility conditions the closed form rests on
     (n | d*e*(y-1) and m | x2*[d*e]_r) are rechecked against every
@@ -87,6 +88,12 @@ def reference_absolute_center_formula(
                     "parameter constraints are broken"
                 )
     return result
+
+
+def reference_to_permutation(t: ZmTriple, alpha: AutTriple) -> tuple[int, ...]:
+    """The automorphism as a permutation of the u-major element
+    enumeration, by one `aut.apply` per element."""
+    return tuple(t.index_of(aut.apply(t, alpha, g)) for g in t.elements())
 
 
 def reference_geometric_sum_mod(r: int, u: int, m: int) -> int:
@@ -187,7 +194,7 @@ def reference_agree(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> b
     if t.order > oracle_bound:
         return None
     formula = abscenter.absolute_center_formula(t)
-    span = {power(t, formula.generator, k) for k in range(formula.order)}
+    span = {power(t, formula.formula_generator, k) for k in range(formula.formula_order)}
     return abscenter.absolute_center_oracle(t, oracle_bound) == span
 
 
@@ -277,17 +284,15 @@ def reference_verify_forward(
             if t.order <= bounds.oracle:
                 oracle = abscenter.absolute_center_oracle(t, bounds.oracle)
                 oracle_order = len(oracle)
-                span = {power(t, formula.generator, k) for k in range(formula.order)}
+                generator, order = formula.formula_generator, formula.formula_order
+                span = {power(t, generator, k) for k in range(order)}
                 agree = oracle == span
             factor_rows.append(
                 abscenter.AbsCenterComparison(
                     triple=t,
-                    d=t.d,
                     e=formula.e,
-                    formula_order=formula.order,
-                    formula_generator=formula.generator,
-                    center_order=t.n // t.d,
-                    regime_guaranteed=formula.regime_guaranteed,
+                    formula_order=formula.formula_order,
+                    formula_generator=formula.formula_generator,
                     oracle_order=oracle_order,
                     agree=agree,
                 )

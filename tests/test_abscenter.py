@@ -27,7 +27,7 @@ class TestExponentE:
     def test_d_equals_n_gives_trivial_center_fixed_part(self, zm_5_4_2):
         assert abscenter.exponent_e(zm_5_4_2) == 1
         result = abscenter.absolute_center_formula(zm_5_4_2)
-        assert result.order == 1
+        assert result.formula_order == 1
 
     def test_minimality(self, small_triples):
         for t in small_triples:
@@ -40,25 +40,26 @@ class TestExponentE:
 class TestFormula:
     def test_fixture_where_l_equals_z(self, zm_5_16_2):
         result = abscenter.absolute_center_formula(zm_5_16_2)
-        assert result.generator == ZmElement(4, 0)
-        assert result.order == 4
+        assert result.formula_generator == ZmElement(4, 0)
+        assert result.formula_order == 4
         _, z_order = zm_5_16_2.center()
-        assert result.order == z_order
-        assert result.regime_guaranteed
+        assert result.formula_order == z_order
+        # the oracle has not run
+        assert result.oracle_order is None and result.agree is None
 
     def test_fixture_where_l_is_proper_in_z(self, zm_5_48_2):
         result = abscenter.absolute_center_formula(zm_5_48_2)
-        assert result.generator == ZmElement(12, 0)
-        assert result.order == 4
+        assert result.formula_generator == ZmElement(12, 0)
+        assert result.formula_order == 4
         _, z_order = zm_5_48_2.center()
-        assert z_order == 12 and result.order < z_order
+        assert z_order == 12 and result.formula_order < z_order
 
     def test_derived_example(self, zm_7_9_2):
         result = abscenter.absolute_center_formula(zm_7_9_2)
         assert zm_7_9_2.d == 3
         assert result.e == 1
-        assert result.generator == ZmElement(3, 0)
-        assert result.order == 3
+        assert result.formula_generator == ZmElement(3, 0)
+        assert result.formula_order == 3
         oracle = abscenter.absolute_center_oracle(zm_7_9_2)
         assert len(oracle) == 3
 
@@ -72,8 +73,8 @@ class TestFormula:
                 continue
             result = abscenter.absolute_center_formula(t)
             de = t.d * result.e
-            assert result.order == t.n // math.gcd(de, t.n)
-            assert result.order == (t.n // t.d) // math.gcd(result.e, t.n // t.d)
+            assert result.formula_order == t.n // math.gcd(de, t.n)
+            assert result.formula_order == (t.n // t.d) // math.gcd(result.e, t.n // t.d)
 
 
 class TestOracle:
@@ -118,7 +119,7 @@ class TestOracle:
                 continue
             result = abscenter.absolute_center_formula(t)
             oracle = abscenter.absolute_center_oracle(t)
-            span = {power(t, result.generator, k) for k in range(result.order)}
+            span = {power(t, result.formula_generator, k) for k in range(result.formula_order)}
             assert span <= oracle
 
     def test_bound_enforced(self, zm_5_16_2):
@@ -259,7 +260,7 @@ class TestCompare:
         assert cmp.formula_order == 1
         assert cmp.oracle_order == 2
         assert cmp.agree is False
-        assert not cmp.regime_guaranteed
+        assert not cmp.triple.regime_guaranteed
         oracle = abscenter.absolute_center_oracle(zm_7_6_2)
         assert oracle == {ZmElement(0, 0), ZmElement(3, 0)}
 
@@ -299,7 +300,7 @@ class TestFoldedFixednessCheck:
         checked = 0
         for t in iter_valid_triples(200):
             result = reference_absolute_center_formula(t)
-            assert result.generator in abscenter.absolute_center_oracle(t), t
+            assert result.formula_generator in abscenter.absolute_center_oracle(t), t
             checked += 1
         assert checked > 100
 
@@ -308,7 +309,7 @@ class TestFoldedFixednessCheck:
         real_oracle = abscenter.absolute_center_oracle
 
         def broken(t, *args, **kwargs):
-            generator = abscenter.absolute_center_formula(t).generator
+            generator = abscenter.absolute_center_formula(t).formula_generator
             return real_oracle(t, *args, **kwargs) - {generator}
 
         monkeypatch.setattr(abscenter, "absolute_center_oracle", broken)
@@ -405,7 +406,7 @@ class TestRegimes:
     def test_split_factor_is_guaranteed_and_carries_l(self, rows):
         for t, n2, factor, cmp in rows:
             assert factor.d == t.d and factor.regime_guaranteed, t
-            factor_l = abscenter.absolute_center_formula(factor).order
+            factor_l = abscenter.absolute_center_formula(factor).formula_order
             assert cmp.oracle_order == math.gcd(n2, 2) * factor_l, t
 
     def test_split_is_an_isomorphism_on_tables(self, rows):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_helpers import compose, identity_aut, invert, power
-from slow_reference import family_generators
+from slow_reference import family_generators, reference_to_permutation
 from zmcenter import aut
 from zmcenter.errors import AutParamError
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
@@ -244,7 +244,7 @@ class TestAutCounts:
         c = aut.aut_counts(zm_5_16_2)
         assert (c.aut, c.inn, c.out, c.central, c.ia) == (80, 20, 4, 4, 20)
         assert not c.complete
-        assert c.regime_guaranteed
+        assert zm_5_16_2.regime_guaranteed
         assert c.aut == c.inn * c.out
 
     def test_complete_group(self, zm_5_4_2):
@@ -254,7 +254,7 @@ class TestAutCounts:
 
     def test_unguaranteed_flag(self, zm_5_48_2):
         c = aut.aut_counts(zm_5_48_2)
-        assert c.aut == 240 and not c.regime_guaranteed
+        assert c.aut == 240 and not zm_5_48_2.regime_guaranteed
         # the enforced enumeration gives the true count, smaller than the formula
         assert len(aut.enumerate_family(zm_5_48_2, "all")) == 160
 
@@ -276,6 +276,15 @@ class TestAutCounts:
 
 
 class TestPermutationBridge:
+    def test_matches_the_per_element_reference(self):
+        # every member of every family with mn <= 60, and of ZM(31,2,30)
+        triples = [*iter_valid_triples(60), validate_triple(31, 2, 30)]
+        assert len(triples) == 56
+        for t in triples:
+            for alpha in aut.enumerate_family(t, "all"):
+                expected = reference_to_permutation(t, alpha)
+                assert aut.to_permutation(t, alpha) == expected, (t, alpha)
+
     def test_permutations_preserve_identity_and_orders(self, zm_5_4_2):
         t = zm_5_4_2
         group = t.cayley()

@@ -55,7 +55,7 @@ class TestRealise:
         for n in range(1, 31):
             cert = realiser.realise(n)
             orders = [
-                abscenter.absolute_center_formula(t).order for t in cert.triples()
+                abscenter.absolute_center_formula(t).formula_order for t in cert.triples()
             ]
             assert math.prod(orders) == n
             for t, f in zip(cert.triples(), cert.factors):
@@ -271,7 +271,7 @@ class TestSubgroupForDivisor:
         cert = realiser.realise(12)
         for t in realiser.subgroup_for_divisor(cert, 1):
             assert t.d == t.n  # b-part shrunk to q^alpha
-            assert abscenter.absolute_center_formula(t).order == 1
+            assert abscenter.absolute_center_formula(t).formula_order == 1
 
     def test_intermediate_divisor(self):
         from zmcenter import abscenter
@@ -279,7 +279,7 @@ class TestSubgroupForDivisor:
         cert = realiser.realise(12)
         triples = realiser.subgroup_for_divisor(cert, 2)
         assert [(t.m, t.n) for t in triples] == [(5, 8), (7, 3)]
-        assert [abscenter.absolute_center_formula(t).order for t in triples] == [2, 1]
+        assert [abscenter.absolute_center_formula(t).formula_order for t in triples] == [2, 1]
 
     def test_non_divisor_rejected(self):
         cert = realiser.realise(12)
@@ -291,7 +291,8 @@ class TestSubgroupForDivisor:
 
         cert = realiser.realise(720)  # 2^4 * 3^2 * 5
         expected = [
-            [f.divisor_triple(beta) for beta in range(f.alpha + 1)] for f in cert.factors
+            [validate_triple(f.p, f.q ** (f.alpha + beta), f.r) for beta in range(f.alpha + 1)]
+            for f in cert.factors
         ]
         moduli = []
         order = zm.multiplicative_order
@@ -441,6 +442,28 @@ class TestSharedComparisons:
         assert row.oracle_product is None
         assert [rows[n].passed for n in (1, 2, 3)] == [True, False, False]
 
+    def test_row_fails_when_the_oracle_disagrees_at_the_right_orders(self, monkeypatch):
+        # realise(6) takes ZM(5,4,4) at beta = 1 of q = 2.  Mark its
+        # comparison as a disagreement, keeping formula and oracle orders
+        # at q^beta = 2: only the verdict says the oracle set differs, and
+        # the rows that take this factor must fail on it alone
+        cert = realiser.realise(6)
+        real_compare = abscenter.compare
+
+        def injected(t, *args, **kwargs):
+            c = real_compare(t, *args, **kwargs)
+            if (t.m, t.n, t.r) == (5, 4, 4):
+                return dataclasses.replace(c, agree=False)
+            return c
+
+        monkeypatch.setattr(abscenter, "compare", injected)
+        rows = {row.divisor: row for row in realiser.verify_forward(cert)}
+        (c,) = {c for n in (2, 6) for c in rows[n].factors if c.triple.m == 5}
+        assert (c.formula_order, c.oracle_order, c.agree) == (2, 2, False)
+        assert [rows[n].formula_product for n in (1, 2, 3, 6)] == [1, 2, 3, 6]
+        assert [rows[n].oracle_product for n in (1, 2, 3, 6)] == [1, 2, 3, 6]
+        assert [rows[n].passed for n in (1, 2, 3, 6)] == [True, False, True, False]
+
     def test_certificate_without_factors_has_one_passing_row(self):
         cert = realiser.RealiserCertificate(N=1, factors=())
         (row,) = realiser.verify_forward(cert)
@@ -528,6 +551,19 @@ class TestVerifyConverse:
                 embeds = cyclic and 12 % l_order == 0
                 expected.append(realiser.SubgroupScanRow(sub.order, l_order, cyclic, embeds))
             assert realiser._scan_subgroups(group, 12, Bounds()) == tuple(expected)
+
+    def test_non_cyclic_l_does_not_embed(self):
+        # ZM(3,4,2) x ZM(5,4,4) has L = C_2 x C_2: of order 4, which divides
+        # the target 4, but not cyclic, so it cannot embed in C_4.  It is
+        # the only non-cyclic L among the 176 subgroups
+        group = genericgroup.direct_product(
+            [validate_triple(3, 4, 2).cayley(), validate_triple(5, 4, 4).cayley()]
+        )
+        rows = realiser._scan_subgroups(group, 4, Bounds(aut=240, subgroups=240))
+        assert len(rows) == 176
+        (whole,) = [s for s in rows if not s.l_cyclic]
+        assert (whole.order, whole.l_order, whole.embeds) == (240, 4, False)
+        assert rows[-1] is whole
 
     def test_n12_factor_scans(self):
         cert = realiser.realise(12)
