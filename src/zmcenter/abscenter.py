@@ -47,12 +47,15 @@ subfamilies generate the enumerated family.
 
 `compare` is the one place both paths meet, and `AbsCenterComparison` is
 their one record.  `absolute_center_formula` returns it with the oracle
-not run; `compare` runs the oracle once, when the order is within the
-oracle bound, and completes the record.  `oracle_order is None` is the
-one statement that the oracle was skipped, and the command line reads
-its bound refusal off it.  `compare` checks that the closed-form
-generator is among the fixed points; a generator that is not fixed is a
-fatal internal inconsistency (RuntimeError), never a disagreement.
+not run; `compare` runs the oracle once, when the order is at most
+`ORACLE_BOUND`, and completes the record.  That is the oracle's one
+gate: it costs a few y, two units and G <= 2d values of u, not m*n
+steps, and refuses no input itself.
+`oracle_order is None` is the one statement that the oracle was skipped,
+and the command line reads its bound refusal off it.  `compare` checks
+that the closed-form generator is among the fixed points; a generator
+that is not fixed is a fatal internal inconsistency (RuntimeError),
+never a disagreement.
 """
 
 from __future__ import annotations
@@ -62,10 +65,11 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import aut
-from .config import DEFAULT_BOUNDS
-from .errors import BoundExceededError
 from .numtheory import geometric_sum_mod
 from .zm import ZmElement, ZmTriple
+
+# the largest m*n at which `compare` runs the oracle
+ORACLE_BOUND = 2000
 
 
 def exponent_e(t: ZmTriple) -> int:
@@ -103,9 +107,7 @@ def absolute_center_formula(t: ZmTriple) -> AbsCenterComparison:
     return AbsCenterComparison(t, e, t.n // math.gcd(de, t.n), t.element(de, 0))
 
 
-def absolute_center_oracle(
-    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
-) -> set[ZmElement]:
+def absolute_center_oracle(t: ZmTriple) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
     Tests residues against the subfamilies (1, 0, y) for every admissible
@@ -126,13 +128,10 @@ def absolute_center_oracle(
     otherwise; for V it is 1, reached at x1 = 2 for the odd m > 1.  So the
     U fold reads a few y (at most 5 on every valid triple with mn <= 2000),
     the V fold at most two units, and the walk n / step <= 2d values of u,
-    however large n is.  The closure test checks (1)-(3) in code.  By
+    however large n or m is, so the oracle sets no bound of its own:
+    `compare` gates it.  The closure test checks (1)-(3) in code.  By
     construction the result is a subgroup contained in the center.
     """
-    if t.order > oracle_bound:
-        raise BoundExceededError(
-            f"{t} has order {t.order} > oracle bound {oracle_bound}"
-        )
     m, n, r = t.m, t.n, t.r
     floor = math.gcd(n, math.lcm(t.d, 2)) if n % 2 == 0 else t.d
     step = n // _gcd_fold(n, (y - 1 for y in aut.valid_ys(t)), floor)
@@ -159,8 +158,9 @@ def _gcd_fold(g: int, values: Iterable[int], floor: int) -> int:
     return g
 
 
-def compare(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> AbsCenterComparison:
-    """Run the closed form, run the oracle if it fits, compare exactly.
+def compare(t: ZmTriple) -> AbsCenterComparison:
+    """Run the closed form, run the oracle if the order is at most
+    ORACLE_BOUND, compare exactly.
 
     Agreement means set equality: the oracle fixed points are precisely
     the cyclic subgroup generated by b^(d*e).  Whenever the oracle runs,
@@ -170,9 +170,9 @@ def compare(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> AbsCenter
     Above the bound the formula's record is returned as it is.
     """
     formula = absolute_center_formula(t)
-    if t.order > oracle_bound:
+    if t.order > ORACLE_BOUND:
         return formula
-    oracle = absolute_center_oracle(t, oracle_bound)
+    oracle = absolute_center_oracle(t)
     generator = formula.formula_generator
     if generator not in oracle:
         raise RuntimeError(

@@ -32,6 +32,8 @@ FAMILIES = ("all", "central", "ia", "inner")
 
 # the most work a family listing of the command line may cost
 _LISTING_BOUND = 10**5
+# the field of `AutCounts` that bounds the cost of listing each family
+_COUNT_OF_FAMILY = {"all": "aut", "central": "central", "ia": "ia", "inner": "inn"}
 
 
 class AutTriple(NamedTuple):
@@ -126,16 +128,9 @@ def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
 def _check_listing_cost(t: ZmTriple, family: str) -> None:
     """Raise BoundExceededError if building `enumerate_family(t, family)`
     costs more than _LISTING_BOUND, judged before anything is built: `all`,
-    `central` and `ia` have at most m*phi(m)*(n/d), n/d and m*phi(m)
-    members (|Y| <= n/d), and `inner` is read off m*d conjugations."""
-    if family == "all":
-        cost = t.m * t.phi_m * (t.n // t.d)
-    elif family == "central":
-        cost = t.n // t.d
-    elif family == "ia":
-        cost = t.m * t.phi_m
-    else:
-        cost = t.m * t.d
+    `central` and `ia` have at most as many members as the count formulas
+    give (|Y| <= n/d), and `inner` is read off m*d conjugations."""
+    cost = getattr(_counts(t), _COUNT_OF_FAMILY[family])
     if cost > _LISTING_BOUND:
         raise BoundExceededError(
             f"listing the {family} family of {t} costs {cost} > listing bound {_LISTING_BOUND}"
@@ -158,11 +153,9 @@ class AutCounts:
     complete: bool
 
 
-def aut_counts(t: ZmTriple) -> AutCounts:
-    if t.m == 1:
-        raise ValueError(
-            "counting formulas are not asserted for the degenerate cyclic case m = 1"
-        )
+def _counts(t: ZmTriple) -> AutCounts:
+    """The count formulas of `aut_counts`, for m = 1 too: there they are
+    not asserted, but still bound the listing cost."""
     m, n, d, phi = t.m, t.n, t.d, t.phi_m
     return AutCounts(
         aut=m * phi * n // d,
@@ -172,6 +165,14 @@ def aut_counts(t: ZmTriple) -> AutCounts:
         ia=m * phi,
         complete=(phi == n == d),
     )
+
+
+def aut_counts(t: ZmTriple) -> AutCounts:
+    if t.m == 1:
+        raise ValueError(
+            "counting formulas are not asserted for the degenerate cyclic case m = 1"
+        )
+    return _counts(t)
 
 
 def to_permutation(t: ZmTriple, alpha: AutTriple) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import abscenter, aut, genericgroup, realiser, schemas
-from .config import Bounds, DEFAULT_BOUNDS
+from .config import Bounds, DEFAULT_BOUNDS, TABLE_BOUND
 from .errors import BoundExceededError, SearchBudgetError, ZmcenterError
 from .zm import validate_triple
 
@@ -35,9 +35,9 @@ def _emit_json(text: str) -> None:
 
 
 def _bounds_from_args(args: argparse.Namespace) -> Bounds:
-    """The one place a subcommand's bound flags become `Bounds`.  A bound
-    with no flag on the subcommand, and the table and oracle bounds, which
-    have no flag at all, keep their defaults."""
+    """The one place a subcommand's bound flags become `Bounds`, whose
+    every field is a flag.  A bound with no flag on the subcommand keeps
+    its default."""
     return Bounds(
         aut=getattr(args, "aut_bound", DEFAULT_BOUNDS.aut),
         subgroups=getattr(args, "subgroup_bound", DEFAULT_BOUNDS.subgroups),
@@ -150,17 +150,17 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle_check(args) -> int:
     t = validate_triple(args.m, args.n, args.r)
     bounds = _bounds_from_args(args)
-    cmp = abscenter.compare(t, bounds.oracle)
+    cmp = abscenter.compare(t)
     # refuse before enumerating a family that no comparison would use
     if cmp.oracle_order is None:
-        raise BoundExceededError(f"{t} has order {t.order} > oracle bound {bounds.oracle}")
+        raise BoundExceededError(f"{t} has order {t.order} > oracle bound {abscenter.ORACLE_BOUND}")
     enumerated = aut.family_size(t)
     formula_aut = aut.aut_counts(t).aut
     brute_aut: int | None = None
     aut_tables_agree: bool | None = None
     l_brute: int | None = None
-    if t.order <= min(bounds.aut, bounds.table):
-        group = t.cayley(bounds.table)
+    if t.order <= min(bounds.aut, TABLE_BOUND):
+        group = t.cayley()
         perms = genericgroup.automorphisms_bruteforce(group, bounds.aut)
         brute_aut = len(perms)
         family = aut.enumerate_family(t, "all")

@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import count, product
 from operator import itemgetter
 
-from .config import DEFAULT_BOUNDS
+from .config import DEFAULT_BOUNDS, TABLE_BOUND
 from .errors import BoundExceededError
 
 
@@ -179,18 +179,15 @@ def cyclic_group(k: int) -> CayleyGroup:
     return CayleyGroup.from_table(table)
 
 
-def direct_product(
-    factors: list[CayleyGroup] | tuple[CayleyGroup, ...],
-    table_bound: int = DEFAULT_BOUNDS.table,
-) -> CayleyGroup:
+def direct_product(factors: list[CayleyGroup] | tuple[CayleyGroup, ...]) -> CayleyGroup:
     """Componentwise product; index tuples are flattened factor-major."""
     if len(factors) == 0:
         return cyclic_group(1)
     if len(factors) == 1:
         return factors[0]
     order = math.prod(g.order for g in factors)
-    if order > table_bound:
-        raise BoundExceededError(f"product order {order} > table bound {table_bound}")
+    if order > TABLE_BOUND:
+        raise BoundExceededError(f"product order {order} > table bound {TABLE_BOUND}")
     # the parts of every index in index order: factor-major, so the first
     # factor varies slowest
     index_parts = product(*(range(g.order) for g in factors))

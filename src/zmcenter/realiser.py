@@ -34,7 +34,7 @@ import math
 from dataclasses import InitVar, dataclass
 
 from . import abscenter, genericgroup
-from .config import Bounds, DEFAULT_BOUNDS
+from .config import Bounds, DEFAULT_BOUNDS, TABLE_BOUND
 from .errors import BoundExceededError, CertificateError
 from .numtheory import (
     _PSI_12,
@@ -270,9 +270,7 @@ class VerificationReport:
     passed: bool
 
 
-def verify_forward(
-    cert: RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
-) -> tuple[ForwardRow, ...]:
+def verify_forward(cert: RealiserCertificate) -> tuple[ForwardRow, ...]:
     """One row per divisor N1 of N: the per-factor closed forms must
     multiply to N1, and every factor small enough is cross-checked against
     the fixed-point oracle.  Disagreements are recorded, never raised.
@@ -292,7 +290,7 @@ def verify_forward(
     for f in cert.factors:
         by_beta = []
         for beta, t in enumerate(f.divisor_triples()):
-            q_beta, c = f.q**beta, abscenter.compare(t, bounds.oracle)
+            q_beta, c = f.q**beta, abscenter.compare(t)
             ok = c.formula_order == q_beta and c.oracle_order in (None, q_beta)
             by_beta.append((q_beta, c, ok and c.agree is not False))
         records.append(by_beta)
@@ -347,7 +345,7 @@ def verify_converse(
     product group whenever it fits the bounds (the product-splitting step
     then gets spot-checked, not just assumed).
 
-    Each factor is checked against the table bound and the scan bounds
+    Each factor is checked against TABLE_BOUND and the scan bounds
     (BoundExceededError for the first that fails) before any Cayley table
     is built, so a refused certificate costs no scan.
 
@@ -359,13 +357,13 @@ def verify_converse(
     """
     triples = cert.triples()
     for t in triples:
-        t.check_table_bound(bounds.table)
+        t.check_table_bound()
         if t.order > bounds.subgroups or t.order > bounds.aut:
             raise BoundExceededError(
                 f"factor {t} of order {t.order} exceeds the scan bounds "
                 f"(subgroups {bounds.subgroups}, aut {bounds.aut})"
             )
-    groups = [t.cayley(bounds.table) for t in triples]
+    groups = [t.cayley() for t in triples]
     factor_rows = []
     for i, (f, t, group) in enumerate(zip(cert.factors, triples, groups)):
         scans = _scan_subgroups(group, f.q_pow, bounds)
@@ -380,11 +378,11 @@ def verify_converse(
         )
 
     full_order = math.prod(t.order for t in triples)
-    if full_order <= min(bounds.subgroups, bounds.aut, bounds.table):
+    if full_order <= min(bounds.subgroups, bounds.aut, TABLE_BOUND):
         if len(factor_rows) == 1:
             scans = factor_rows[0].scans
         else:
-            product = genericgroup.direct_product(groups, bounds.table)
+            product = genericgroup.direct_product(groups)
             scans = _scan_subgroups(product, cert.N, bounds)
         full_row = FullProductRow(
             order=full_order,
@@ -416,7 +414,7 @@ def verify(
     full_row: FullProductRow | None = None
     if converse:
         converse_rows, full_row = verify_converse(cert, bounds)
-    forward = verify_forward(cert, bounds)
+    forward = verify_forward(cert)
     passed = all(r.passed for r in forward)
     if converse_rows is not None:
         passed = passed and all(r.passed for r in converse_rows) and full_row.passed

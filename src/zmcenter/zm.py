@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import genericgroup
-from .config import DEFAULT_BOUNDS
+from .config import TABLE_BOUND
 from .errors import BoundExceededError, TripleError
 from .numtheory import euler_phi, multiplicative_order
 # unused here; perfbench's tests pin `zm.factorize is numtheory.factorize`
@@ -94,21 +94,19 @@ class ZmTriple:
 
     # -- the table-driven paths (bounded sizes only) ------------------------
 
-    def check_table_bound(self, table_bound: int = DEFAULT_BOUNDS.table) -> None:
-        """Raise BoundExceededError if the Cayley table would exceed the bound."""
-        if self.order > table_bound:
-            raise BoundExceededError(
-                f"{self} has order {self.order} > table bound {table_bound}"
-            )
+    def check_table_bound(self) -> None:
+        """Raise BoundExceededError if the Cayley table would exceed TABLE_BOUND."""
+        if self.order > TABLE_BOUND:
+            raise BoundExceededError(f"{self} has order {self.order} > table bound {TABLE_BOUND}")
 
-    def cayley(self, table_bound: int = DEFAULT_BOUNDS.table) -> genericgroup.CayleyGroup:
+    def cayley(self) -> genericgroup.CayleyGroup:
         """Explicit multiplication table over all m*n elements, u-major.
 
         (b^u a^v)(b^s a^w) = b^(u+s) a^(v r^s + w), so for each s the m
         entries over w are the block u'*m + (c + w) mod m, with u' = u + s
         and c = v r^s, both reduced.  Each row chains n of the n*m
         precomputed blocks; the offsets c are shared by every u."""
-        self.check_table_bound(table_bound)
+        self.check_table_bound()
         m, n = self.m, self.n
         rpow = [pow(self.r, s, m) for s in range(n)]
         blocks = []  # blocks[u'][c]

@@ -40,7 +40,7 @@ from typing import Iterator
 from group_helpers import divisors, identity_aut, power
 from zmcenter import abscenter, aut, realiser
 from zmcenter.aut import AutTriple
-from zmcenter.config import Bounds, DEFAULT_BOUNDS
+from zmcenter.config import DEFAULT_BOUNDS
 from zmcenter.errors import BoundExceededError, CertificateError, SearchBudgetError
 from zmcenter.genericgroup import CayleyGroup, Subgroup, cyclic_group
 from zmcenter.numtheory import (
@@ -70,16 +70,14 @@ def reference_iter_valid_triples(max_order: int) -> Iterator[ZmTriple]:
                 yield ZmTriple(m=m, n=n, r=r, d=d)
 
 
-def reference_absolute_center_formula(
-    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
-) -> abscenter.AbsCenterComparison:
+def reference_absolute_center_formula(t: ZmTriple) -> abscenter.AbsCenterComparison:
     """Closed form plus the per-member recheck: when the group is small
     enough, the two divisibility conditions the closed form rests on
     (n | d*e*(y-1) and m | x2*[d*e]_r) are rechecked against every
     enumerated automorphism, and a violation is a RuntimeError."""
     result = abscenter.absolute_center_formula(t)
     de = t.d * result.e
-    if t.order <= oracle_bound:
+    if t.order <= abscenter.ORACLE_BOUND:
         geo_de = geometric_sum_mod(t.r, de, t.m)
         for alpha in aut.enumerate_family(t, "all"):
             if (de * (alpha.y - 1)) % t.n != 0 or (alpha.x2 * geo_de) % t.m != 0:
@@ -158,18 +156,16 @@ def family_generators(t: ZmTriple) -> list[AutTriple]:
     return [a for a in gens if a != identity]
 
 
-def reference_absolute_center_oracle(
-    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
-) -> set[ZmElement]:
+def reference_absolute_center_oracle(t: ZmTriple) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
     Scans all m*n elements against every enumerated automorphism (identity
     skipped: it never rejects).  By construction the result is a subgroup
     contained in the center.
     """
-    if t.order > oracle_bound:
+    if t.order > abscenter.ORACLE_BOUND:
         raise BoundExceededError(
-            f"{t} has order {t.order} > oracle bound {oracle_bound}"
+            f"{t} has order {t.order} > oracle bound {abscenter.ORACLE_BOUND}"
         )
     identity = identity_aut(t)
     family = [a for a in aut.enumerate_family(t, "all") if a != identity]
@@ -187,20 +183,18 @@ def reference_absolute_center_oracle(
     return fixed
 
 
-def reference_agree(t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle) -> bool | None:
+def reference_agree(t: ZmTriple) -> bool | None:
     """`compare`'s verdict, with the span of b^(d*e) built by one
     `power` per element: whether the oracle's fixed points are exactly
     that span, or None when the oracle is out of bounds."""
-    if t.order > oracle_bound:
+    if t.order > abscenter.ORACLE_BOUND:
         return None
     formula = abscenter.absolute_center_formula(t)
     span = {power(t, formula.formula_generator, k) for k in range(formula.formula_order)}
-    return abscenter.absolute_center_oracle(t, oracle_bound) == span
+    return abscenter.absolute_center_oracle(t) == span
 
 
-def reference_generator_oracle(
-    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
-) -> set[ZmElement]:
+def reference_generator_oracle(t: ZmTriple) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
     Scans all m*n elements against `family_generators`, never the
@@ -212,9 +206,9 @@ def reference_generator_oracle(
     closure test checks this in code.  By construction the result is a
     subgroup contained in the center.
     """
-    if t.order > oracle_bound:
+    if t.order > abscenter.ORACLE_BOUND:
         raise BoundExceededError(
-            f"{t} has order {t.order} > oracle bound {oracle_bound}"
+            f"{t} has order {t.order} > oracle bound {abscenter.ORACLE_BOUND}"
         )
     gens = family_generators(t)
     geo = _geo_table(t)
@@ -231,9 +225,7 @@ def reference_generator_oracle(
     return fixed
 
 
-def reference_product_oracle(
-    t: ZmTriple, oracle_bound: int = DEFAULT_BOUNDS.oracle
-) -> set[ZmElement]:
+def reference_product_oracle(t: ZmTriple) -> set[ZmElement]:
     """The exact fixed-point set of the full automorphism family.
 
     Tests residues against `family_generators`, never the closed form
@@ -250,9 +242,9 @@ def reference_product_oracle(
     x2 != 0 is a RuntimeError.  The closure test checks (1)-(3) in code.
     By construction the result is a subgroup contained in the center.
     """
-    if t.order > oracle_bound:
+    if t.order > abscenter.ORACLE_BOUND:
         raise BoundExceededError(
-            f"{t} has order {t.order} > oracle bound {oracle_bound}"
+            f"{t} has order {t.order} > oracle bound {abscenter.ORACLE_BOUND}"
         )
     gens = family_generators(t)
     m, n = t.m, t.n
@@ -267,9 +259,7 @@ def reference_product_oracle(
     return {ZmElement(u, v) for u in us for v in vs}
 
 
-def reference_verify_forward(
-    cert: realiser.RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
-) -> tuple[realiser.ForwardRow, ...]:
+def reference_verify_forward(cert: realiser.RealiserCertificate) -> tuple[realiser.ForwardRow, ...]:
     """Forward verification with the formula and the oracle evaluated
     afresh for every factor of every divisor, each comparison record built
     field by field rather than by `abscenter.compare`, and coprimality
@@ -278,11 +268,11 @@ def reference_verify_forward(
     for n1 in divisors(cert.N):
         factor_rows = []
         for t in realiser.subgroup_for_divisor(cert, n1):
-            formula = reference_absolute_center_formula(t, bounds.oracle)
+            formula = reference_absolute_center_formula(t)
             oracle_order: int | None = None
             agree: bool | None = None
-            if t.order <= bounds.oracle:
-                oracle = abscenter.absolute_center_oracle(t, bounds.oracle)
+            if t.order <= abscenter.ORACLE_BOUND:
+                oracle = abscenter.absolute_center_oracle(t)
                 oracle_order = len(oracle)
                 generator, order = formula.formula_generator, formula.formula_order
                 span = {power(t, generator, k) for k in range(order)}

@@ -13,7 +13,6 @@ from slow_reference import (
     reference_product_oracle,
 )
 from zmcenter import abscenter, aut, cli, schemas
-from zmcenter.errors import BoundExceededError
 from zmcenter.genericgroup import cyclic_group, direct_product
 from zmcenter.numtheory import euler_phi, factorize, geometric_sum_mod
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
@@ -122,10 +121,6 @@ class TestOracle:
             span = {power(t, result.formula_generator, k) for k in range(result.formula_order)}
             assert span <= oracle
 
-    def test_bound_enforced(self, zm_5_16_2):
-        with pytest.raises(BoundExceededError):
-            abscenter.absolute_center_oracle(zm_5_16_2, oracle_bound=79)
-
     def test_equals_whole_family_scan(self):
         regimes = set()
         for t in iter_valid_triples(400):
@@ -210,7 +205,7 @@ class TestOracle:
         m = 10**12 + 39
         t = validate_triple(m, 3, pow(2, (m - 1) // 3, m))
         read["units"] = 0
-        fixed = abscenter.absolute_center_oracle(t, oracle_bound=t.order)
+        fixed = abscenter.absolute_center_oracle(t)
         assert read["units"] == 2 and fixed == {ZmElement(0, 0)}
 
     def test_u_fold_stops_at_the_full_gcd(self, monkeypatch):
@@ -233,7 +228,7 @@ class TestOracle:
         for (m, n, r), size in big.items():
             t = validate_triple(m, n, r)
             reads.clear()
-            fixed = abscenter.absolute_center_oracle(t, oracle_bound=t.order)
+            fixed = abscenter.absolute_center_oracle(t)
             assert len(reads) <= 4, (t, len(reads))
             assert len(fixed) == size, t
         # stopping early loses nothing: the values read already give the
@@ -263,6 +258,22 @@ class TestCompare:
         assert not cmp.triple.regime_guaranteed
         oracle = abscenter.absolute_center_oracle(zm_7_6_2)
         assert oracle == {ZmElement(0, 0), ZmElement(3, 0)}
+
+    def test_oracle_runs_at_the_bound_and_never_past_it(self, monkeypatch):
+        calls = []
+        real = abscenter.absolute_center_oracle
+
+        def spy(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(abscenter, "absolute_center_oracle", spy)
+        at, past = validate_triple(125, 16, 57), validate_triple(3, 668, 2)
+        assert at.order == abscenter.ORACLE_BOUND == 2000 < past.order == 2004
+        cmp = abscenter.compare(at)
+        assert (cmp.oracle_order, cmp.agree, calls) == (4, True, [at])
+        cmp = abscenter.compare(past)
+        assert (cmp.oracle_order, cmp.agree, calls) == (None, None, [at])
 
     def test_l_order_divides_z_order(self, small_triples):
         for t in small_triples:
@@ -308,9 +319,9 @@ class TestFoldedFixednessCheck:
     def oracle_missing_generator(self, monkeypatch):
         real_oracle = abscenter.absolute_center_oracle
 
-        def broken(t, *args, **kwargs):
+        def broken(t):
             generator = abscenter.absolute_center_formula(t).formula_generator
-            return real_oracle(t, *args, **kwargs) - {generator}
+            return real_oracle(t) - {generator}
 
         monkeypatch.setattr(abscenter, "absolute_center_oracle", broken)
 
@@ -319,8 +330,9 @@ class TestFoldedFixednessCheck:
             with pytest.raises(RuntimeError):
                 abscenter.compare(t)
 
-    def test_out_of_bound_triples_are_not_checked(self, oracle_missing_generator, zm_5_16_2):
-        cmp = abscenter.compare(zm_5_16_2, oracle_bound=79)
+    def test_out_of_bound_triples_are_not_checked(self, oracle_missing_generator):
+        # order 2004, just above ORACLE_BOUND
+        cmp = abscenter.compare(validate_triple(3, 668, 2))
         assert cmp.oracle_order is None and cmp.agree is None
 
     def test_verify_does_not_pass(self, oracle_missing_generator, capsys):

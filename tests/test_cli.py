@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -688,6 +689,13 @@ class TestNoDeadFlag:
     def test_flag_changes_the_result(self, capsys, key):
         argv, flag = BOUND_FLAG_CASES[key]
         assert run(capsys, *argv) != run(capsys, *argv, *flag)
+
+    def test_every_bounds_field_is_read_from_a_flag(self):
+        # a Bounds field with no flag would keep its default here
+        argv = ["verify", "4", "--aut-bound", "11", "--subgroup-bound", "12", "--prime-budget", "13"]
+        bounds = cli._bounds_from_args(cli.build_parser().parse_args(argv))
+        fields = {f.name: getattr(bounds, f.name) for f in dataclasses.fields(bounds)}
+        assert fields == {"aut": 11, "subgroups": 12, "prime_budget": 13}
 
     def test_oracle_check_aut_bound_skips_brute_force(self, capsys):
         _, out, _ = run(capsys, "oracle-check", "5", "16", "2", "--json")

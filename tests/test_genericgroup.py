@@ -238,8 +238,9 @@ class TestDirectProduct:
         assert center_bruteforce(prod).order == small.center()[1] * b.center()[1] == 6
 
     def test_bound_enforced(self):
-        with pytest.raises(BoundExceededError):
-            gg.direct_product([gg.cyclic_group(50), gg.cyclic_group(50)], table_bound=2000)
+        # order 2500 > TABLE_BOUND
+        with pytest.raises(BoundExceededError, match="product order 2500 > table bound 2000"):
+            gg.direct_product([gg.cyclic_group(50), gg.cyclic_group(50)])
 
     @pytest.mark.parametrize(
         "factors",

@@ -511,7 +511,7 @@ class TestVerifyConverse:
         cert = realiser.realise(6)
         products, scanned = [], []
 
-        def fake_product(groups, table_bound):
+        def fake_product(groups):
             products.append([g.order for g in groups])
             return types.SimpleNamespace(order=1260)
 
@@ -582,16 +582,17 @@ class TestVerifyConverse:
     @pytest.mark.parametrize(
         "n, bounds, culprit",
         [
-            # the second factor ZM(7,9,2) of order 63 is over the table bound
-            (6, Bounds(table=50), 1),
-            # ZM(5,16,2) of order 80 is over both; the table bound trips first
-            (12, Bounds(table=70, aut=70), 0),
+            # ZM(17,256,3) of order 4352 is over the table and aut bounds; the
+            # table bound trips first
+            (16, Bounds(aut=3000, subgroups=10**4), 0),
+            # ZM(251,15625,9) of order 3921875 is within the raised scan bounds
+            (250, Bounds(aut=4 * 10**6, subgroups=4 * 10**6), 1),
         ],
     )
     def test_table_bound_refused_before_any_table(self, monkeypatch, n, bounds, culprit):
         cert = realiser.realise(n)
         with pytest.raises(BoundExceededError) as expected:
-            cert.triples()[culprit].cayley(bounds.table)
+            cert.triples()[culprit].cayley()
         built = []
         monkeypatch.setattr(ZmTriple, "cayley", lambda t, *a, **k: built.append(t))
         with pytest.raises(BoundExceededError) as refused:

@@ -204,9 +204,10 @@ class TestCayleyExport:
         assert orders.count(1) == 1 and orders.count(2) == 5
         assert orders.count(4) == 10 and orders.count(5) == 4
 
-    def test_bound_enforced(self, zm_5_16_2):
-        with pytest.raises(BoundExceededError):
-            zm_5_16_2.cayley(table_bound=79)
+    def test_bound_enforced(self):
+        # order 5120 > TABLE_BOUND
+        with pytest.raises(BoundExceededError, match="has order 5120 > table bound 2000"):
+            validate_triple(5, 1024, 2).cayley()
 
     def test_block_rows_equal_per_entry_reference(self):
         triples = [*iter_valid_triples(400), *(validate_triple(1, k, 1) for k in (1, 2, 7, 30))]
