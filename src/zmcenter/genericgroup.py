@@ -11,7 +11,14 @@ The two scans do less work for the same answers.  `subgroups` walks the
 lattice up to conjugacy: it adds each subgroup it finds together with its
 whole conjugacy class, labels the class, and extends only the first-found
 member, by one element per right coset s*g, since <s, h*g> = <s, g> for
-every h in s.  `automorphism_generators` is the one
+every h in s.  It builds each extension <s, g> as a union of left cosets
+x*s: a union of left cosets of s that holds s is closed under right
+multiplication by s, so once it is also closed under right multiplication
+by g it is <s, g>.  Each new element z brings in its whole coset z*s, one
+pick of row z, and only g is multiplied in; an extension costs one
+product per element it reaches and one row pick per coset, where a
+closure from the identity would cost one product per element and
+generator.  `automorphism_generators` is the one
 automorphism search: a stabiliser-chain backtrack that returns a
 generating set of Aut, pruned by the orbits of the generators it has
 found.  An absolute center is the set of points those generators fix;
@@ -158,8 +165,12 @@ class Subgroup:
         """The subgroup as a standalone group (indices renumbered).  A
         closed subset of a group that holds the identity is a group, so
         its table needs no check.  Each row is the parent row picked at
-        the members, renumbered through one list."""
+        the members, renumbered through one list.  The whole group is its
+        parent: the renumbering is then the identity, and the parent's
+        cached orders and generating sequence are reused."""
         members, parent = self.members, self.parent
+        if len(members) == parent.order:
+            return parent
         if len(members) == 1:  # itemgetter of one index returns no tuple
             return CayleyGroup(((0,),), 0)
         new_index = [-1] * parent.order
@@ -180,7 +191,9 @@ def cyclic_group(k: int) -> CayleyGroup:
 
 
 def direct_product(factors: list[CayleyGroup] | tuple[CayleyGroup, ...]) -> CayleyGroup:
-    """Componentwise product; index tuples are flattened factor-major."""
+    """Componentwise product; index tuples are flattened factor-major.
+    Every entry is one of `order` shared int objects, so the table holds
+    pointers to them rather than one int object per entry."""
     if len(factors) == 0:
         return cyclic_group(1)
     if len(factors) == 1:
@@ -191,6 +204,7 @@ def direct_product(factors: list[CayleyGroup] | tuple[CayleyGroup, ...]) -> Cayl
     # the parts of every index in index order: factor-major, so the first
     # factor varies slowest
     index_parts = product(*(range(g.order) for g in factors))
+    shared = list(range(order)).__getitem__
 
     def row(parts: tuple[int, ...]) -> tuple[int, ...]:
         # entry j is the index of the parts z_f = f.table[i_f][j_f], in
@@ -200,7 +214,7 @@ def direct_product(factors: list[CayleyGroup] | tuple[CayleyGroup, ...]) -> Cayl
         for f, p in zip(factors, parts):
             f_row, k = f.table[p], f.order
             out = [x * k + z for x in out for z in f_row]
-        return tuple(out)
+        return tuple(map(shared, out))
 
     table = tuple(row(parts) for parts in index_parts)
     return CayleyGroup.from_table(table)
@@ -220,9 +234,18 @@ def subgroups(
     by each y of `generating_sequence`.  That is its orbit under all of G,
     as (x^y)^z = x^(yz) and the y generate G.  Only that first-found
     member of a class joins the frontier.  A frontier subgroup s is
-    extended by one g per right coset s*g and closed: <s, h*g> = <s, g>
-    for every h in s, as g = h^-1 * (h*g).  So each class representative
-    s costs |G|/|s| - 1 closures, and the rest of its class costs none.
+    extended by one g per right coset s*g: <s, h*g> = <s, g> for every h
+    in s, as g = h^-1 * (h*g).  So each class representative s costs
+    |G|/|s| - 1 extensions, and the rest of its class costs none.
+
+    An extension builds <s, g> as a union of left cosets x*s, by
+    `_coset_join`.  It starts from s and right-multiplies by g only; each
+    new element z brings in its whole coset z*s.  The union holds the
+    identity and is closed under right multiplication by s (each coset
+    is) and by g, so it holds every product of elements of s and g, which
+    is <s, g> in a finite group; and it lies in <s, g>.  An extension to
+    a subgroup t costs |t| products and |t|/|s| - 1 row picks, so a class
+    representative s costs at most (|G|/|s| - 1) * |G| products.
 
     Completeness, by induction on the number of generators.  The seeds
     give every cyclic subgroup.  Let H = <K, h> with K's class found, and
@@ -258,17 +281,15 @@ def subgroups(
         return orbit
 
     # the class label of every subgroup found, numbered in the order the
-    # classes are found; each frontier entry keeps the generators its
-    # subgroup was reached by: extending s by g closes <gens(s), g> =
-    # <s, g> from a handful of seeds
+    # classes are found
     known: dict[frozenset[int], int] = {frozenset([ident]): 0}
     labels = count(1)
-    frontier: list[tuple[frozenset[int], tuple[int, ...]]] = []
+    frontier: list[frozenset[int]] = []
 
-    def visit(t: frozenset[int], gens: tuple[int, ...], queue: list) -> None:
+    def visit(t: frozenset[int], queue: list[frozenset[int]]) -> None:
         if t not in known:
             known.update(dict.fromkeys(conjugates(t), next(labels)))
-            queue.append((t, gens))
+            queue.append(t)
 
     done = [False] * n
     for g in range(n):
@@ -278,22 +299,40 @@ def subgroups(
         for x in s:
             if orders[x] == orders[g]:
                 done[x] = True
-        visit(s, (g,), frontier)
+        visit(s, frontier)
     while frontier:
-        fresh: list[tuple[frozenset[int], tuple[int, ...]]] = []
-        for s, gens in frontier:
+        fresh: list[frozenset[int]] = []
+        for s in frontier:  # each is nontrivial: the trivial group is known
+            pick = itemgetter(*s)
             # the cosets s*g already extended by; the first g of a coset
             # is its least element
             seen = set(s)
             for g in range(n):
                 if g in seen:
                     continue
-                visit(group.closure(gens + (g,)), gens + (g,), fresh)
+                visit(_coset_join(table, s, pick, g), fresh)
                 seen.update(table[h][g] for h in s)
         frontier = fresh
     out = [Subgroup(group, tuple(sorted(s)), label) for s, label in known.items()]
     out.sort(key=lambda s: (s.order, s.members))
     return out
+
+
+def _coset_join(
+    table: tuple[tuple[int, ...], ...], s: frozenset[int], pick: itemgetter, g: int
+) -> frozenset[int]:
+    """<s, g> for a subgroup s of at least two elements, where pick is
+    itemgetter(*s), so pick(table[z]) is the left coset z*s: the union of
+    left cosets of s reached from s by right multiplication by g."""
+    members = set(s)
+    queue = list(s)
+    for x in queue:  # the loop also visits the cosets it appends
+        z = table[x][g]
+        if z not in members:  # so its coset is disjoint from members
+            coset = pick(table[z])
+            members.update(coset)
+            queue += coset
+    return frozenset(members)
 
 
 def automorphism_generators(
@@ -309,9 +348,10 @@ def automorphism_generators(
     g_1, ..., g_(k-1); an automorphism is fixed by its images of the g_i,
     so Aut = A_1 >= A_2 >= ... >= A_(s+1) = 1.  The levels run from k = s
     down to 1.  At level k, phi is the identity on H = <g_1, ..., g_(k-1)>,
-    and each image x of g_k of the same order outside H is tried (an
-    automorphism fixing H pointwise maps H onto H, so g_k cannot land in
-    it).  x is skipped if it lies in the orbit of g_k, or of an image that
+    and each image x of g_k of the same order outside H is tried, in index
+    order from a list of the elements of each order built once per call
+    (an automorphism fixing H pointwise maps H onto H, so g_k cannot land
+    in it).  x is skipped if it lies in the orbit of g_k, or of an image that
     already failed, under the generators found so far.  Otherwise the
     deeper generators g_(k+1), ..., g_s are searched for one completion,
     and each completion is a new generator.
@@ -357,6 +397,10 @@ def automorphism_generators(
     phi[ident] = ident
     used = [False] * n  # used[w]: w is already some phi(x)
     used[ident] = True
+    # the candidate images of each order, in index order
+    of_order: dict[int, list[int]] = {}
+    for x, k in enumerate(orders):
+        of_order.setdefault(k, []).append(x)
 
     def extend(reached: list[int], level: int, fresh: list[int]) -> bool:
         """Close phi under the generators up to gens[level], whose image
@@ -413,9 +457,8 @@ def automorphism_generators(
     def complete(level: int, reached: list[int]) -> tuple[int, ...] | None:
         if level == len(gens):
             return tuple(phi)
-        g = gens[level]
-        for img in range(n):
-            if not used[img] and orders[img] == orders[g]:
+        for img in of_order[orders[gens[level]]]:
+            if not used[img]:
                 tau = attempt(level, reached, img)
                 if tau is not None:
                     return tau
@@ -441,8 +484,8 @@ def automorphism_generators(
         reached = [ident, *(x for layer in layers[:level] for x in layer)]
         g = gens[level]
         skip = _reach({g}, moves)
-        for img in range(n):
-            if img in skip or used[img] or orders[img] != orders[g]:
+        for img in of_order[orders[g]]:
+            if img in skip or used[img]:
                 continue
             tau = attempt(level, reached, img)
             if tau is None:

@@ -12,7 +12,9 @@ for associativity to Light's test on a generating set,
 to splitting each index once, `CayleyGroup.element_orders` moved from
 walking every element's powers to one walk per cyclic subgroup,
 `subgroups` moved from extending by every outside element to one element
-per right coset and then to one extended subgroup per conjugacy class,
+per right coset, then to one extended subgroup per conjugacy class, and
+then from closing each extension from the identity to adding whole left
+cosets of the subgroup it extends,
 `ZmTriple.cayley` moved from one expression per table entry to chaining
 precomputed blocks of m entries, `Subgroup.as_group` moved from one dict
 lookup per entry to picking and renumbering whole rows,
@@ -35,6 +37,8 @@ are never used by the package itself.
 from __future__ import annotations
 
 import math
+from itertools import count
+from operator import itemgetter
 from typing import Iterator
 
 from group_helpers import divisors, identity_aut, power
@@ -590,6 +594,72 @@ def reference_subgroups(
                     fresh.append(t)
         frontier = fresh
     out = [Subgroup(group, tuple(sorted(s))) for s in known]
+    out.sort(key=lambda s: (s.order, s.members))
+    return out
+
+
+def reference_coset_subgroups(
+    group: CayleyGroup, subgroup_bound: int = DEFAULT_BOUNDS.subgroups
+) -> list[Subgroup]:
+    """Every subgroup, labelled with its conjugacy class, by the same walk
+    over class representatives as `genericgroup.subgroups`, but closing
+    each cyclic seed and each extension <gens(s), g> from the identity
+    with `CayleyGroup.closure`: each class representative s costs
+    |G|/|s| - 1 closures.  Output is sorted by (order, member tuple)."""
+    n = group.order
+    if n > subgroup_bound:
+        raise BoundExceededError(f"order {n} > subgroup enumeration bound {subgroup_bound}")
+    table, orders, ident = group.table, group.element_orders, group.identity_index
+    conjugations = []
+    for y in group.generating_sequence:
+        y_inverse_row = table[table[y].index(ident)]
+        conjugations.append(tuple(table[z][y] for z in y_inverse_row))
+
+    def conjugates(t: frozenset[int]) -> list[frozenset[int]]:
+        if len(t) == 1:
+            return [t]
+        orbit, seen = [t], {t}
+        for s in orbit:
+            pick = itemgetter(*s)
+            for conjugation in conjugations:
+                u = frozenset(pick(conjugation))
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+        return orbit
+
+    # each frontier entry keeps the generators its subgroup was reached
+    # by: extending s by g closes <gens(s), g> = <s, g> from a few seeds
+    known: dict[frozenset[int], int] = {frozenset([ident]): 0}
+    labels = count(1)
+    frontier: list[tuple[frozenset[int], tuple[int, ...]]] = []
+
+    def visit(t: frozenset[int], gens: tuple[int, ...], queue: list) -> None:
+        if t not in known:
+            known.update(dict.fromkeys(conjugates(t), next(labels)))
+            queue.append((t, gens))
+
+    done = [False] * n
+    for g in range(n):
+        if done[g]:
+            continue
+        s = group.closure({g})
+        for x in s:
+            if orders[x] == orders[g]:
+                done[x] = True
+        visit(s, (g,), frontier)
+    while frontier:
+        fresh: list[tuple[frozenset[int], tuple[int, ...]]] = []
+        for s, gens in frontier:
+            # one g per right coset s*g, its least element
+            seen = set(s)
+            for g in range(n):
+                if g in seen:
+                    continue
+                visit(group.closure(gens + (g,)), gens + (g,), fresh)
+                seen.update(table[h][g] for h in s)
+        frontier = fresh
+    out = [Subgroup(group, tuple(sorted(s)), label) for s, label in known.items()]
     out.sort(key=lambda s: (s.order, s.members))
     return out
 

@@ -1,4 +1,4 @@
-import math
+import hashlib
 import random
 from itertools import permutations, product
 
@@ -9,6 +9,7 @@ from slow_reference import (
     reference_as_group,
     reference_automorphisms_bruteforce,
     reference_closure,
+    reference_coset_subgroups,
     reference_direct_product,
     reference_element_orders,
     reference_is_associative,
@@ -242,6 +243,13 @@ class TestDirectProduct:
         with pytest.raises(BoundExceededError, match="product order 2500 > table bound 2000"):
             gg.direct_product([gg.cyclic_group(50), gg.cyclic_group(50)])
 
+    def test_entries_are_shared_objects(self):
+        # order 320, past the small ints the interpreter shares anyway
+        groups = [validate_triple(5, 16, 2).cayley(), gg.cyclic_group(4)]
+        prod = gg.direct_product(groups)
+        assert len({id(x) for row in prod.table for x in row}) == prod.order == 320
+        assert prod == reference_direct_product(groups)
+
     @pytest.mark.parametrize(
         "factors",
         [
@@ -317,37 +325,71 @@ class TestSubgroups:
         with pytest.raises(BoundExceededError):
             gg.subgroups(gg.cyclic_group(12), subgroup_bound=10)
 
-
-class TestSubgroupsSeedCount:
-    @pytest.mark.parametrize(
-        "group",
-        [
-            validate_triple(5, 16, 2).cayley(),
-            validate_triple(7, 9, 2).cayley(),
-            gg.cyclic_group(30),
-            gg.direct_product([validate_triple(3, 4, 2).cayley(), gg.cyclic_group(2)]),
-        ],
-        ids=["ZM(5,16,2)", "ZM(7,9,2)", "C30", "Dic3xC2"],
-    )
-    def test_at_most_log2_order_plus_one_seeds(self, group, monkeypatch):
-        seed_sizes = []
-        real = gg.CayleyGroup.closure
-
-        def closure(self, seed):
-            seed_sizes.append(len(set(seed)))
-            return real(self, seed)
-
-        monkeypatch.setattr(gg.CayleyGroup, "closure", closure)
-        gg.subgroups(group)
-        assert max(seed_sizes) <= math.floor(math.log2(group.order)) + 1
+    def test_whole_group_as_group_is_its_parent(self):
+        groups = [gg.cyclic_group(1), gg.cyclic_group(12), validate_triple(5, 16, 2).cayley()]
+        for group in [*groups, NAMED_GROUPS["S4"]()]:
+            whole = gg.subgroups(group)[-1]
+            assert whole.members == tuple(range(group.order))
+            assert whole.as_group() is group
+            assert whole.as_group() == reference_as_group(whole)
 
 
-def _lattices_with_both_closures(group: gg.CayleyGroup, monkeypatch):
-    fast = [s.members for s in gg.subgroups(group)]
+def _lattice(subs: list[gg.Subgroup]) -> list[tuple[tuple[int, ...], int]]:
+    return [(s.members, s.conjugacy_class) for s in subs]
+
+
+class TestSubgroupsMatchClosureWalk:
+    """Members and class labels equal those of the same walk with every
+    cyclic seed and every extension closed from the identity."""
+
+    def test_every_triple_up_to_order_200(self):
+        # every extension up to order 60 is checked one by one in
+        # TestClosureMatchesReference; this reaches further by the lattice
+        triples = list(iter_valid_triples(200))
+        assert len(triples) == 289
+        for t in triples:
+            group = t.cayley()
+            assert _lattice(gg.subgroups(group)) == _lattice(reference_coset_subgroups(group)), t
+
+    def test_cyclic_groups(self):
+        for k in range(1, 31):
+            group = gg.cyclic_group(k)
+            assert _lattice(gg.subgroups(group)) == _lattice(reference_coset_subgroups(group)), k
+
+    @pytest.mark.parametrize("name", list(NAMED_GROUPS))
+    def test_named_group_and_its_subgroups(self, name):
+        group = NAMED_GROUPS[name]()
+        for table in [group, *(s.as_group() for s in gg.subgroups(group))]:
+            assert _lattice(gg.subgroups(table)) == _lattice(reference_coset_subgroups(table))
+
+    def test_product_of_two_zm_groups(self):
+        factors = [validate_triple(3, 4, 2).cayley(), validate_triple(5, 4, 4).cayley()]
+        group = gg.direct_product(factors)
+        subs = gg.subgroups(group, subgroup_bound=240)
+        assert len(subs) == 176
+        assert _lattice(subs) == _lattice(reference_coset_subgroups(group, subgroup_bound=240))
+
+
+def _extensions_match_closures(group: gg.CayleyGroup, monkeypatch) -> None:
+    """Every cyclic closure({g}), and every extension of s by g in
+    `subgroups`, equals the reference's closure under all pairwise
+    products; each extension also equals closure(s | {g})."""
+    for g in range(group.order):
+        assert group.closure({g}) == reference_closure(group, {g}), g
+    extensions = []
+    real = gg._coset_join
+
+    def coset_join(table, s, pick, g):
+        t = real(table, s, pick, g)
+        extensions.append((s, g, t))
+        return t
+
     with monkeypatch.context() as patch:
-        patch.setattr(gg.CayleyGroup, "closure", reference_closure)
-        slow = [s.members for s in gg.subgroups(group)]
-    return fast, slow
+        patch.setattr(gg, "_coset_join", coset_join)
+        gg.subgroups(group)
+    for s, g, t in extensions:
+        seed = s | {g}
+        assert t == group.closure(seed) == reference_closure(group, seed), (sorted(s), g)
 
 
 class TestClosureMatchesReference:
@@ -355,19 +397,16 @@ class TestClosureMatchesReference:
         "t", list(iter_valid_triples(REFERENCE_LATTICE_MAX_ORDER)), ids=str
     )
     def test_subgroup_lattice_of_every_small_triple(self, t, monkeypatch):
-        fast, slow = _lattices_with_both_closures(t.cayley(), monkeypatch)
-        assert fast == slow
+        _extensions_match_closures(t.cayley(), monkeypatch)
 
     def test_subgroup_lattice_of_cyclic_groups(self, monkeypatch):
         for k in range(1, 31):
-            fast, slow = _lattices_with_both_closures(gg.cyclic_group(k), monkeypatch)
-            assert fast == slow, k
+            _extensions_match_closures(gg.cyclic_group(k), monkeypatch)
 
     def test_subgroup_lattice_of_coprime_product(self, monkeypatch):
         prod = gg.direct_product([validate_triple(3, 4, 2).cayley(), gg.cyclic_group(5)])
-        fast, slow = _lattices_with_both_closures(prod, monkeypatch)
-        assert len(fast) == 16  # Dic3 has 8 subgroups, C_5 has 2
-        assert fast == slow
+        assert len(gg.subgroups(prod)) == 16  # Dic3 has 8 subgroups, C_5 has 2
+        _extensions_match_closures(prod, monkeypatch)
 
     @pytest.mark.parametrize("mnr", [(5, 16, 2), (7, 9, 4)])
     def test_random_seeds(self, mnr):
@@ -412,32 +451,41 @@ class TestScansMatchReference:
                 checked += 1
         assert checked > 1000
 
-    def test_one_closure_per_right_coset(self, monkeypatch, zm_5_16_2):
+    def test_one_extension_per_right_coset(self, monkeypatch, zm_5_16_2):
         group = zm_5_16_2.cayley()
-        calls = []
-        real = gg.CayleyGroup.closure
+        extensions, closures = [], []
+        real_join, real_closure = gg._coset_join, gg.CayleyGroup.closure
+
+        def coset_join(table, s, pick, g):
+            extensions.append(g)
+            return real_join(table, s, pick, g)
 
         def closure(self, seed):
-            calls.append(seed)
-            return real(self, seed)
+            closures.append(seed)
+            return real_closure(self, seed)
 
+        monkeypatch.setattr(gg, "_coset_join", coset_join)
         monkeypatch.setattr(gg.CayleyGroup, "closure", closure)
         subs = gg.subgroups(group)
-        coset_calls = len(calls)
-        calls.clear()
-        reference_subgroups(group)
         n = group.order
         # one closure per cyclic subgroup, then each nontrivial class
-        # representative s once per coset other than s
-        cyclic = {real(group, {g}) for g in range(n)}
+        # representative s extended once per coset other than s
+        cyclic = {real_closure(group, {g}) for g in range(n)}
         class_orders = {s.conjugacy_class: s.order for s in subs}
         assert len(cyclic) == 16 and len(class_orders) == 10
         nontrivial_classes = [k for k in class_orders.values() if k > 1]
-        assert coset_calls == len(cyclic) + sum(n // k - 1 for k in nontrivial_classes) == 113
-        # the reference: every element, then each nontrivial s once per
-        # outside element
+        assert len(closures) == len(cyclic)
+        assert len(extensions) == sum(n // k - 1 for k in nontrivial_classes) == 97
+        # the same walk with every extension closed from the identity
+        closures.clear()
+        reference_coset_subgroups(group)
+        assert len(closures) == len(cyclic) + len(extensions) == 113
+        closures.clear()
+        # the reference that extends by every outside element: every
+        # element, then each nontrivial s once per outside element
+        reference_subgroups(group)
         nontrivial = [s.order for s in subs[1:]]
-        assert len(calls) == n + sum(n - k for k in nontrivial) == 1159
+        assert len(closures) == n + sum(n - k for k in nontrivial) == 1159
 
     def test_class_labels_are_conjugacy_classes(self):
         groups = [*_reference_groups(), *(build() for build in NAMED_GROUPS.values())]
@@ -508,6 +556,21 @@ class TestAutomorphismGenerators:
             assert set(gg.fixed_subgroup(group, gens).members) == {t.index_of(g) for g in oracle}
             checked += 1
         assert checked == 55
+
+    def test_generator_lists_are_pinned(self):
+        # the candidate images of each generator are tried in index order,
+        # so the lists themselves, not only the groups they generate, are
+        # fixed: the digest of 1707 lists, on every valid triple with
+        # mn <= 60, the named groups, and the table of each subgroup
+        groups = [t.cayley() for t in iter_valid_triples(60)]
+        groups += [build() for build in NAMED_GROUPS.values()]
+        tables = [table for g in groups for table in [g, *(s.as_group() for s in gg.subgroups(g))]]
+        digest = hashlib.sha256()
+        for table in tables:
+            digest.update(repr(gg.automorphism_generators(table)).encode())
+        assert len(tables) == 1707
+        pinned = "81374017eb6b4ea29bbba6460362335a45ba63f2b80efd6f1843372df237f547"
+        assert digest.hexdigest() == pinned
 
     # the first tested tables outside the ZM family, whose automorphism
     # groups have another shape: where a wrong orbit skip would show

@@ -8,7 +8,12 @@ import types
 import pytest
 
 from group_helpers import NAMED_GROUPS, divisors
-from slow_reference import reference_validate_certificate, reference_verify_forward
+from slow_reference import (
+    reference_as_group,
+    reference_coset_subgroups,
+    reference_validate_certificate,
+    reference_verify_forward,
+)
 from zmcenter import abscenter, cli, genericgroup, realiser, schemas
 from zmcenter.config import Bounds
 from zmcenter.errors import BoundExceededError, CertificateError, TripleError
@@ -564,6 +569,23 @@ class TestVerifyConverse:
         (whole,) = [s for s in rows if not s.l_cyclic]
         assert (whole.order, whole.l_order, whole.embeds) == (240, 4, False)
         assert rows[-1] is whole
+
+    def test_scan_rows_of_a_product_are_unchanged(self, monkeypatch):
+        # the 176 rows of ZM(3,4,2) x ZM(5,4,4), pinned by their digest,
+        # equal the rows from the closure walk and the renumbering by dict
+        # lookups of the references
+        group = genericgroup.direct_product(
+            [validate_triple(3, 4, 2).cayley(), validate_triple(5, 4, 4).cayley()]
+        )
+        bounds = Bounds(aut=240, subgroups=240)
+        rows = realiser._scan_subgroups(group, 4, bounds)
+        text = ";".join(f"{r.order},{r.l_order},{int(r.l_cyclic)},{int(r.embeds)}" for r in rows)
+        assert len(rows) == 176
+        digest = "b388140c1629c7e375a6a66bd0dc124942e15215efb0ae29119edcb00e047c3a"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        monkeypatch.setattr(genericgroup, "subgroups", reference_coset_subgroups)
+        monkeypatch.setattr(genericgroup.Subgroup, "as_group", reference_as_group)
+        assert realiser._scan_subgroups(group, 4, bounds) == rows
 
     def test_n12_factor_scans(self):
         cert = realiser.realise(12)
