@@ -161,7 +161,7 @@ def _cmd_oracle_check(args) -> int:
     l_brute: int | None = None
     if t.order <= min(bounds.aut, TABLE_BOUND):
         group = t.cayley()
-        perms = genericgroup.automorphisms_bruteforce(group, bounds.aut)
+        perms = genericgroup.automorphisms_bruteforce(group)
         brute_aut = len(perms)
         family = aut.enumerate_family(t, "all")
         aut_tables_agree = set(perms) == {aut.to_permutation(t, a) for a in family}

@@ -1,10 +1,13 @@
-"""Bounds for the brute-force engines.
+"""Bounds for the commands that run the brute-force engines.
 
 `Bounds` is exactly the bounds the command line sets by flag, and
-`TABLE_BOUND` caps every explicit Cayley table.  These are hard gates:
-exceeding one raises BoundExceededError (SearchBudgetError for the prime
-hunt), never silently truncates.  The oracle gate, `abscenter.ORACLE_BOUND`,
-is not one: `compare` skips the oracle above it and says so in its record.
+`TABLE_BOUND` caps the Cayley tables that `verify --converse` and
+`oracle-check` build.  They gate the commands, not the engines, which
+take any order.  Exceeding one raises BoundExceededError
+(SearchBudgetError for the prime hunt) or skips a check the report
+names; nothing is silently truncated.  The oracle gate,
+`abscenter.ORACLE_BOUND`, is not one: `compare` skips the oracle above
+it and says so in its record.
 """
 
 from dataclasses import dataclass

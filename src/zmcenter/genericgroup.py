@@ -24,6 +24,11 @@ generating set of Aut, pruned by the orbits of the generators it has
 found.  An absolute center is the set of points those generators fix;
 `automorphisms_bruteforce` closes them in Sym(n) for the callers that
 need every automorphism, such as `oracle-check`.
+
+The engines take a table of any order: one of order n holds n^2
+entries and the scans cost more, so each caller decides what it can
+afford.  The commands that build tables, `verify --converse` and
+`oracle-check`, decide before they build one.
 """
 
 from __future__ import annotations
@@ -33,9 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, product
 from operator import itemgetter
-
-from .config import DEFAULT_BOUNDS, TABLE_BOUND
-from .errors import BoundExceededError
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,6 @@ def direct_product(factors: list[CayleyGroup] | tuple[CayleyGroup, ...]) -> Cayl
     if len(factors) == 1:
         return factors[0]
     order = math.prod(g.order for g in factors)
-    if order > TABLE_BOUND:
-        raise BoundExceededError(f"product order {order} > table bound {TABLE_BOUND}")
     # the parts of every index in index order: factor-major, so the first
     # factor varies slowest
     index_parts = product(*(range(g.order) for g in factors))
@@ -220,9 +220,7 @@ def direct_product(factors: list[CayleyGroup] | tuple[CayleyGroup, ...]) -> Cayl
     return CayleyGroup.from_table(table)
 
 
-def subgroups(
-    group: CayleyGroup, subgroup_bound: int = DEFAULT_BOUNDS.subgroups
-) -> list[Subgroup]:
+def subgroups(group: CayleyGroup) -> list[Subgroup]:
     """Every subgroup, labelled with its conjugacy class, by a
     breadth-first walk over class representatives.  Output is sorted by
     (order, member tuple) so runs are reproducible.
@@ -257,8 +255,6 @@ def subgroups(
     Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005).
     """
     n = group.order
-    if n > subgroup_bound:
-        raise BoundExceededError(f"order {n} > subgroup enumeration bound {subgroup_bound}")
     table, orders, ident = group.table, group.element_orders, group.identity_index
     # conjugation by each y of the generating sequence, as the index
     # permutation x -> y^-1 x y
@@ -335,9 +331,7 @@ def _coset_join(
     return frozenset(members)
 
 
-def automorphism_generators(
-    group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
-) -> list[tuple[int, ...]]:
+def automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
     """A generating set of the table's automorphism group, as index
     permutations; empty when the group has no automorphism but the identity.
 
@@ -387,8 +381,6 @@ def automorphism_generators(
     extends phi(x*g) = phi(x)phi(g) to all pairs.
     """
     n = group.order
-    if n > aut_bound:
-        raise BoundExceededError(f"order {n} > automorphism bound {aut_bound}")
     gens = group.generating_sequence
     orders = group.element_orders
     table = group.table
@@ -513,24 +505,20 @@ def _reach(start: set, maps: list) -> set:
     return out
 
 
-def automorphisms_bruteforce(
-    group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
-) -> list[tuple[int, ...]]:
+def automorphisms_bruteforce(group: CayleyGroup) -> list[tuple[int, ...]]:
     """Every table automorphism, as index permutations (sorted): the
     closure of `automorphism_generators` in Sym(n), for callers that need
     the whole list, such as `oracle-check`'s comparison with the
     parametrised family."""
-    gens = automorphism_generators(group, aut_bound)
+    gens = automorphism_generators(group)
     # itemgetter(*tau) maps p to p after tau
     return sorted(_reach({tuple(range(group.order))}, [itemgetter(*tau) for tau in gens]))
 
 
-def absolute_center_bruteforce(
-    group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
-) -> Subgroup:
+def absolute_center_bruteforce(group: CayleyGroup) -> Subgroup:
     """Elements fixed by every automorphism of the table, that is, by each
     of `automorphism_generators`."""
-    return fixed_subgroup(group, automorphism_generators(group, aut_bound))
+    return fixed_subgroup(group, automorphism_generators(group))
 
 
 def fixed_subgroup(group: CayleyGroup, perms: list[tuple[int, ...]]) -> Subgroup:

@@ -20,8 +20,7 @@ from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import genericgroup
-from .config import TABLE_BOUND
-from .errors import BoundExceededError, TripleError
+from .errors import TripleError
 from .numtheory import euler_phi, multiplicative_order
 # unused here; perfbench's tests pin `zm.factorize is numtheory.factorize`
 from .numtheory import factorize  # noqa: F401
@@ -92,12 +91,7 @@ class ZmTriple:
         """(generator, order) of the center <b^d>."""
         return self.element(self.d, 0), self.n // self.d
 
-    # -- the table-driven paths (bounded sizes only) ------------------------
-
-    def check_table_bound(self) -> None:
-        """Raise BoundExceededError if the Cayley table would exceed TABLE_BOUND."""
-        if self.order > TABLE_BOUND:
-            raise BoundExceededError(f"{self} has order {self.order} > table bound {TABLE_BOUND}")
+    # -- the table-driven path ----------------------------------------------
 
     def cayley(self) -> genericgroup.CayleyGroup:
         """Explicit multiplication table over all m*n elements, u-major.
@@ -105,8 +99,8 @@ class ZmTriple:
         (b^u a^v)(b^s a^w) = b^(u+s) a^(v r^s + w), so for each s the m
         entries over w are the block u'*m + (c + w) mod m, with u' = u + s
         and c = v r^s, both reduced.  Each row chains n of the n*m
-        precomputed blocks; the offsets c are shared by every u."""
-        self.check_table_bound()
+        precomputed blocks; the offsets c are shared by every u.  Built
+        at any order: the commands that build one check TABLE_BOUND first."""
         m, n = self.m, self.n
         rpow = [pow(self.r, s, m) for s in range(n)]
         blocks = []  # blocks[u'][c]

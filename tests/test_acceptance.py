@@ -57,7 +57,7 @@ def test_criterion_3_coprime_product_reproduction(capsys):
     c3 = gg.cyclic_group(3)
     g80 = validate_triple(5, 16, 2).cayley()
     prod = gg.direct_product([c3, g80])
-    fixed = gg.absolute_center_bruteforce(prod, aut_bound=240)
+    fixed = gg.absolute_center_bruteforce(prod)
     assert gg.is_cyclic(fixed) == (True, 4)
     center = center_bruteforce(prod)
     assert gg.is_cyclic(center) == (True, 12)

@@ -16,6 +16,9 @@ from zmcenter import abscenter, aut, cli, genericgroup, numtheory, realiser, zm
 from zmcenter.zm import ZmTriple
 
 
+SCAN_REFUSAL_63 = "error: factor ZM(7,9,4) of order 63 exceeds the scan bounds"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -702,6 +705,40 @@ class TestNoDeadFlag:
         assert json.loads(out)["aut_bruteforce"] == 80
         _, out, _ = run(capsys, "oracle-check", "5", "16", "2", "--json", "--aut-bound", "10")
         assert json.loads(out)["aut_bruteforce"] is None
+
+    @pytest.mark.parametrize(
+        "argv, code, shown, err",
+        [
+            # the factors of 6 are ZM(5,4,4) of order 20 and ZM(7,9,4) of
+            # order 63; their product of order 1260 is past both bounds
+            (
+                "verify 6 --converse --aut-bound 63 --subgroup-bound 63",
+                0,
+                "full product (order 1260): not scanned",
+                "",
+            ),
+            (
+                "verify 6 --converse --aut-bound 62 --subgroup-bound 63",
+                3,
+                None,
+                f"{SCAN_REFUSAL_63} (subgroups 63, aut 62)\n",
+            ),
+            (
+                "verify 6 --converse --aut-bound 63 --subgroup-bound 62",
+                3,
+                None,
+                f"{SCAN_REFUSAL_63} (subgroups 62, aut 63)\n",
+            ),
+            # ZM(5,16,2) has order 80
+            ("oracle-check 5 16 2 --json --aut-bound 80", 0, '"aut_bruteforce": 80', ""),
+            ("oracle-check 5 16 2 --json --aut-bound 79", 0, '"aut_bruteforce": null', ""),
+        ],
+    )
+    def test_command_gates_sit_at_the_group_order(self, capsys, argv, code, shown, err):
+        # the engines check no bound, so each command's gate is the only one
+        got_code, out, got_err = run(capsys, *argv.split())
+        assert (got_code, got_err) == (code, err)
+        assert shown in out if shown else out == ""
 
     def test_oracle_check_has_no_subgroup_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from group_helpers import center_bruteforce, derived_subgroup, element_order, power
 from slow_reference import reference_cayley, reference_iter_valid_triples
-from zmcenter.errors import BoundExceededError, TripleError
+from zmcenter.errors import TripleError
 from zmcenter.numtheory import factorize
 from zmcenter.zm import ZmElement, iter_valid_triples, validate_triple
 
@@ -203,11 +203,6 @@ class TestCayleyExport:
         orders = sorted(group.element_orders)
         assert orders.count(1) == 1 and orders.count(2) == 5
         assert orders.count(4) == 10 and orders.count(5) == 4
-
-    def test_bound_enforced(self):
-        # order 5120 > TABLE_BOUND
-        with pytest.raises(BoundExceededError, match="has order 5120 > table bound 2000"):
-            validate_triple(5, 1024, 2).cayley()
 
     def test_block_rows_equal_per_entry_reference(self):
         triples = [*iter_valid_triples(400), *(validate_triple(1, k, 1) for k in (1, 2, 7, 30))]
