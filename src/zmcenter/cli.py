@@ -210,6 +210,7 @@ class Command(NamedTuple):
 
 
 FLAG = Option(None)
+POSITIONAL = Option(int)  # how the direct parse reads each positional
 TRIPLE = ("m", "n", "r")
 COMMANDS = {
     "abscenter": Command(
@@ -262,48 +263,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _form(name: str, command: Command) -> tuple[dict, list, dict]:
-    """A subcommand's options by option string and its positionals, each
-    with its Namespace name, and the Namespace of a parse with no options."""
-    options, values = {}, {"command": name, "func": command.handler}
-    for flag, option in command.options.items():
-        dest = flag[2:].replace("-", "_")
-        options[flag] = (dest, option)
-        values[dest] = option.default
-    return options, [(dest, Option(int)) for dest in command.positionals], values
-
-
-_FORMS = {name: _form(name, command) for name, command in COMMANDS.items()}
-
-
 def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
     """The Namespace `build_parser().parse_args(argv)` returns, for an argv
     made only of an exact subcommand name, exact option strings of its
     options (one with a type takes the next token as its value) and
     exactly its positionals, each value converted and checked as argparse
     does; None for any other argv."""
-    form = _FORMS.get(argv[0]) if argv and type(argv[0]) is str else None
-    if form is None:
+    command = COMMANDS.get(argv[0]) if argv and type(argv[0]) is str else None
+    if command is None:
         return None
-    options, positionals, values = form
-    values = dict(values)
-    read = []  # (dest, option, token) for each value to convert
-    unread = iter(positionals)
+    values = {"command": argv[0], "func": command.handler}
+    unread = iter(command.positionals)
     tokens = iter(argv[1:])
     for token in tokens:
-        entry = options.get(token) if type(token) is str else None
-        if entry is None:
-            entry = next(unread, None)
-            if entry is None:
+        option = command.options.get(token) if type(token) is str else None
+        if option is None:
+            dest, option = next(unread, None), POSITIONAL
+            if dest is None:
                 return None
-            read.append((*entry, token))
-        elif entry[1].type is None:
-            values[entry[0]] = True
         else:
-            read.append((*entry, next(tokens, None)))
-    if next(unread, None) is not None:
-        return None
-    for dest, option, token in read:
+            dest = token[2:].replace("-", "_")
+            if option.type is None:
+                values[dest] = True
+                continue
+            token = next(tokens, None)
         # argparse reads a token starting with "-" as an option, or fails
         if type(token) is not str or token.startswith("-"):
             return None
@@ -314,6 +297,10 @@ def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
         if option.choices is not None and value not in option.choices:
             return None
         values[dest] = value
+    if next(unread, None) is not None:
+        return None
+    for flag, option in command.options.items():
+        values.setdefault(flag[2:].replace("-", "_"), option.default)
     return argparse.Namespace(**values)
 
 

@@ -256,25 +256,13 @@ def subgroups(group: CayleyGroup) -> list[Subgroup]:
     """
     n = group.order
     table, orders, ident = group.table, group.element_orders, group.identity_index
-    # conjugation by each y of the generating sequence, as the index
-    # permutation x -> y^-1 x y
-    conjugations = []
+    # conjugation by each y of the generating sequence, on subgroups:
+    # t -> y^-1 t y, by the index permutation x -> y^-1 x y
+    conjugators = []
     for y in group.generating_sequence:
         y_inverse_row = table[table[y].index(ident)]
-        conjugations.append(tuple(table[z][y] for z in y_inverse_row))
-
-    def conjugates(t: frozenset[int]) -> list[frozenset[int]]:
-        if len(t) == 1:  # the trivial subgroup is normal
-            return [t]
-        orbit, seen = [t], {t}
-        for s in orbit:  # the loop also visits the conjugates it appends
-            pick = itemgetter(*s)
-            for conjugation in conjugations:
-                u = frozenset(pick(conjugation))
-                if u not in seen:
-                    seen.add(u)
-                    orbit.append(u)
-        return orbit
+        conjugation = tuple(table[z][y] for z in y_inverse_row)
+        conjugators.append(lambda t, pick=conjugation.__getitem__: frozenset(map(pick, t)))
 
     # the class label of every subgroup found, numbered in the order the
     # classes are found
@@ -284,7 +272,7 @@ def subgroups(group: CayleyGroup) -> list[Subgroup]:
 
     def visit(t: frozenset[int], queue: list[frozenset[int]]) -> None:
         if t not in known:
-            known.update(dict.fromkeys(conjugates(t), next(labels)))
+            known.update(dict.fromkeys(_reach({t}, conjugators), next(labels)))
             queue.append(t)
 
     done = [False] * n

@@ -8,13 +8,19 @@ prime powers has absolute center C_N because the factor orders are pairwise
 coprime.
 
 Verification:
-  * forward  - every divisor N1 of N is realized by shrinking the b-part of
-    each factor to q^(a + beta); the closed form always sits in its
-    guaranteed regime here, and small factors are cross-checked against the
-    fixed-point oracle.  The factor orders are pairwise coprime, so N1 is
-    realized iff each (factor, beta) has formula order q^beta and an oracle
-    that is skipped or agrees.  Each (factor, beta) is checked, compared
-    and judged once per verification, and ord_p(r) once per factor.
+  * forward  - for every divisor N1 of N, with beta the exponent of q in
+    N1, each factor's b-part is shrunk to q^(a + beta), giving the triple
+    ZM(p, q^(a + beta), r); the closed form always sits in its guaranteed
+    regime here, and small triples are cross-checked against the
+    fixed-point oracle.  The factor orders are pairwise coprime, so a row
+    passes iff each (factor, beta) has formula order q^beta and an oracle
+    that is skipped or agrees: N1 is then the absolute center of the
+    product of these triples.  For beta < a that triple is no subgroup of
+    H; the subgroup <a, b^(q^(a - beta))> of H is
+    ZM(p, q^(a + beta), r^(q^(a - beta))), with absolute center
+    C_(q^beta), which the tests check and this check does not.  Each
+    (factor, beta) is checked, compared and judged once per verification,
+    and ord_p(r) once per factor.
   * converse - subgroups of a coprime direct product split as products of
     factor subgroups, so each factor is scanned exhaustively: every
     subgroup's brute-force absolute center must be cyclic of order dividing
@@ -60,8 +66,10 @@ class FactorWitness:
         return self.q**self.alpha
 
     def divisor_triples(self) -> list[ZmTriple]:
-        """ZM(p, q^(alpha+beta), r) for beta = 0..alpha: this factor in the
-        subgroup realizing a divisor in which q has exponent beta.
+        """ZM(p, q^(alpha+beta), r) for beta = 0..alpha: the triple the
+        forward check compares for a divisor in which q has exponent beta.
+        It has the factor's p and r with the b-part shrunk; for beta <
+        alpha it is not a subgroup of the factor ZM(p, q^(2 alpha), r).
         d = ord_p(r) does not depend on n, so only beta = 0 computes it;
         every beta's presentation is still checked."""
         first = validate_triple(self.p, self.q_pow, self.r)
@@ -214,8 +222,11 @@ def realise(N: int, prime_budget: int = DEFAULT_BOUNDS.prime_budget) -> Realiser
 
 
 def subgroup_for_divisor(cert: RealiserCertificate, n1: int) -> list[ZmTriple]:
-    """Factor triples of the subgroup realizing the divisor n1 of N:
-    ZM(p, q^(alpha+beta), r) per factor, beta the multiplicity of q in n1."""
+    """The triples whose product the forward check compares for the
+    divisor n1 of N: ZM(p, q^(alpha+beta), r) per factor, beta the
+    multiplicity of q in n1.  Their product has absolute center C_n1 but
+    is a subgroup of the certificate's group only where beta = alpha for
+    every factor: see `FactorWitness.divisor_triples`."""
     if n1 < 1 or cert.N % n1 != 0:
         raise ValueError(f"{n1} does not divide {cert.N}")
     exponents = dict(factorize(n1))
@@ -380,27 +391,24 @@ def verify_converse(
         )
 
     full_order = math.prod(t.order for t in triples)
-    if full_order <= min(bounds.subgroups, bounds.aut, TABLE_BOUND):
-        if len(factor_rows) == 1:
-            scans = factor_rows[0].scans
-        else:
-            product = genericgroup.direct_product(groups)
-            scans = _scan_subgroups(product, cert.N)
-        full_row = FullProductRow(
-            order=full_order,
-            scanned=True,
-            reason="within bounds",
-            scans=scans,
-            passed=all(s.embeds for s in scans),
-        )
+    scanned = full_order <= min(bounds.subgroups, bounds.aut, TABLE_BOUND)
+    if not scanned:
+        scans = ()
+    elif len(factor_rows) == 1:
+        scans = factor_rows[0].scans
     else:
-        full_row = FullProductRow(
-            order=full_order,
-            scanned=False,
-            reason=f"order {full_order} above scan bounds; factor scans cover it",
-            scans=(),
-            passed=True,
-        )
+        scans = _scan_subgroups(genericgroup.direct_product(groups), cert.N)
+    full_row = FullProductRow(
+        order=full_order,
+        scanned=scanned,
+        reason=(
+            "within bounds"
+            if scanned
+            else f"order {full_order} above scan bounds; factor scans cover it"
+        ),
+        scans=scans,
+        passed=all(s.embeds for s in scans),
+    )
     return tuple(factor_rows), full_row
 
 

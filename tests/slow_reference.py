@@ -561,17 +561,11 @@ def reference_as_group(sub: Subgroup) -> CayleyGroup:
     return CayleyGroup(table, old_to_new[sub.parent.identity_index])
 
 
-def reference_subgroups(
-    group: CayleyGroup, subgroup_bound: int = DEFAULT_BOUNDS.subgroups
-) -> list[Subgroup]:
+def reference_subgroups(group: CayleyGroup) -> list[Subgroup]:
     """Every subgroup, by breadth-first closure: seed with the cyclic
     subgroups, then repeatedly extend each known subgroup by one outside
     element and close.  Output is sorted by (order, member tuple) so runs
     are reproducible."""
-    if group.order > subgroup_bound:
-        raise BoundExceededError(
-            f"order {group.order} > subgroup enumeration bound {subgroup_bound}"
-        )
     # each subgroup keeps the generators it was reached by: extending s
     # by g closes <gens(s), g> = <s, g> from a handful of seeds
     known: dict[frozenset[int], tuple[int, ...]] = {frozenset([group.identity_index]): ()}
@@ -598,17 +592,13 @@ def reference_subgroups(
     return out
 
 
-def reference_coset_subgroups(
-    group: CayleyGroup, subgroup_bound: int = DEFAULT_BOUNDS.subgroups
-) -> list[Subgroup]:
+def reference_coset_subgroups(group: CayleyGroup) -> list[Subgroup]:
     """Every subgroup, labelled with its conjugacy class, by the same walk
     over class representatives as `genericgroup.subgroups`, but closing
     each cyclic seed and each extension <gens(s), g> from the identity
     with `CayleyGroup.closure`: each class representative s costs
     |G|/|s| - 1 closures.  Output is sorted by (order, member tuple)."""
     n = group.order
-    if n > subgroup_bound:
-        raise BoundExceededError(f"order {n} > subgroup enumeration bound {subgroup_bound}")
     table, orders, ident = group.table, group.element_orders, group.identity_index
     conjugations = []
     for y in group.generating_sequence:
@@ -664,9 +654,7 @@ def reference_coset_subgroups(
     return out
 
 
-def reference_automorphisms_bruteforce(
-    group: CayleyGroup, aut_bound: int = DEFAULT_BOUNDS.aut
-) -> list[tuple[int, ...]]:
+def reference_automorphisms_bruteforce(group: CayleyGroup) -> list[tuple[int, ...]]:
     """All table-preserving bijections, as index permutations (sorted).
 
     Backtracks on the images of a greedy generating sequence.  A partial
@@ -676,8 +664,6 @@ def reference_automorphisms_bruteforce(
     induction over words in the generators extends it to all pairs.
     """
     n = group.order
-    if n > aut_bound:
-        raise BoundExceededError(f"order {n} > automorphism bound {aut_bound}")
     if n == 1:
         return [(0,)]
     gens = list(group.generating_sequence)

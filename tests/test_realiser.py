@@ -477,6 +477,36 @@ class TestSharedComparisons:
         )
 
 
+class TestRealSubgroupsRealiseEveryDivisor:
+    """The subgroups of a factor H = ZM(p, q^(2 alpha), r) that realise its
+    divisors.  For beta < alpha the triple `divisor_triples` compares is
+    no subgroup of H; <a, b^(q^(alpha-beta))> is one, and it is
+    ZM(p, q^(alpha+beta), r^(q^(alpha-beta)))."""
+
+    def test_formula_on_the_subgroups_a_b_power(self):
+        pairs = oracle_runs = 0
+        for N in range(2, 1001):
+            for f in realiser.realise(N).factors:
+                for beta in range(1, f.alpha + 1):
+                    r = pow(f.r, f.q ** (f.alpha - beta), f.p)
+                    t = validate_triple(f.p, f.q ** (f.alpha + beta), r)
+                    assert t.d == f.q**beta and t.regime_guaranteed, t
+                    c = abscenter.compare(t)
+                    assert c.formula_order == f.q**beta, t
+                    assert c.agree is (None if c.oracle_order is None else True), t
+                    pairs += 1
+                    oracle_runs += c.oracle_order is not None
+        assert (pairs, oracle_runs) == (2877, 1387)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 8, 9])
+    def test_every_divisor_is_the_cyclic_l_of_a_subgroup(self, N):
+        # one factor, of order 12 to 1539, scanned by its table
+        cert = realiser.realise(N)
+        (f,), (t,) = cert.factors, cert.triples()
+        rows = realiser._scan_subgroups(t.cayley(), f.q_pow)
+        assert {s.l_order for s in rows if s.l_cyclic} >= set(divisors(f.q_pow))
+
+
 class TestVerifyConverse:
     def test_one_factor_certificate_scans_once(self, capsys, monkeypatch):
         scanned = []
