@@ -3,7 +3,9 @@ searches that feed the cyclic-realisation construction.
 
 Everything here is deterministic. Primality uses the Miller-Rabin base set
 that is proven complete for all inputs below psi_12 ~ 3.2 * 10^23, so
-there is no probabilistic acceptance anywhere in the verification chain.
+there is no probabilistic acceptance anywhere in the verification chain;
+`is_prime` alone refuses at psi_12, with BoundExceededError, and every
+other function here reaches that bound only through it.
 Before any Miller-Rabin round, one gcd with the product of the 172 primes
 up to 1024 rejects every number with a small factor, and a number below
 1031^2 that passes it is prime.  The rounds then stop after the k-th base
@@ -19,8 +21,10 @@ q^a is a positive power of that q; they certify no prime of N again.  The
 prime hunt proves a candidate p = 1 + t*q^a with t <= q^a + 1 by
 Pocklington's lemma (`pocklington_proves_prime`) with x = g^t for a few
 small bases g, and hands it to `is_prime` only when those bases leave it
-open; every verdict is the one `is_prime` gives.  The element search takes
-the hunt's prime p as certified.
+open.  Below psi_12 every verdict is the one `is_prime` gives; past it a
+verdict is a proof (a small factor, a Fermat witness or the lemma) or the
+refusal of `is_prime`.  The element search takes the hunt's prime p as
+certified.
 """
 
 from __future__ import annotations
@@ -112,15 +116,18 @@ def _sieve(n: int) -> bool | None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < psi_12.
+    """Deterministic primality test for n < psi_12.  This is the one place
+    that refuses past that range: n >= psi_12 raises BoundExceededError,
+    and no caller checks the range first.
 
     `_sieve` decides every n below 1031^2 and every n with a factor up to
     1024.  Any other n runs the Miller-Rabin bases in order and is prime
     once it passes the first k of them with n < psi_k.
     """
     if n >= _PSI_12:
-        raise ValueError(
-            f"primality test is only certified below psi_12 = {_PSI_12}, got {n}"
+        raise BoundExceededError(
+            f"{n} is outside the certified range of the primality test "
+            f"(below psi_12 = {_PSI_12})"
         )
     verdict = _sieve(n)
     if verdict is not None:
@@ -142,8 +149,8 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Complete prime factorization of 1 <= n, for n whose cofactors stay
-    below psi_12, as (prime, exponent) pairs sorted by prime; () for n = 1.
+    """Complete prime factorization of 1 <= n, as (prime, exponent) pairs
+    sorted by prime; () for n = 1.
 
     Trial division by the primes up to `_TRIAL_BOUND` first, stopping early
     once p * p > n.  A cofactor below 1031^2 (1031 = `_NEXT_PRIME`, the
@@ -151,8 +158,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     Any other cofactor that is a perfect square splits into its two roots;
     the rest go through `is_prime`, and a composite one is split by
     Pollard-Brent rho until every part is a square or passes `is_prime`.
-    A cofactor at or above psi_12 cannot be certified and raises
-    BoundExceededError, before any of these.
+    A part at or above psi_12 that is no perfect square reaches `is_prime`,
+    whose BoundExceededError ends the factorization.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -174,11 +181,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         pending = [n]
         while pending:
             c = pending.pop()
-            if c >= _PSI_12:
-                raise BoundExceededError(
-                    f"cofactor {c} is outside the certified range of the "
-                    f"primality test (below psi_12 = {_PSI_12})"
-                )
             root = math.isqrt(c)
             if root * root == c:
                 pending += [root, root]
@@ -334,21 +336,17 @@ def find_prime_in_progression(
     checks only that, so the hunt certifies no prime of N again.
     Existence is only guaranteed asymptotically, so the scan carries an
     explicit budget on t; exhausting it raises rather than answering wrong.
-    A candidate at or above psi_12, where `is_prime` is not certified, ends
-    the hunt with BoundExceededError.
 
-    Each candidate gets the verdict of `is_prime`, by the cheapest proof at
-    hand: `_sieve` first, then, while t <= q_pow + 1, Pocklington's lemma
-    by `_pocklington_scan`, and `is_prime` only for what both leave open.
+    Each candidate gets the cheapest verdict at hand: `_sieve` first, then,
+    while t <= q_pow + 1, Pocklington's lemma by `_pocklington_scan`, and
+    `is_prime` only for what both leave open.  Past psi_12 the first two
+    decide only by a proof, and `is_prime` refuses what they leave open
+    with BoundExceededError; the hunt passes that on rather than skip the
+    candidate, so what it returns is the smallest prime.
     """
     _check_power_of(q_pow, q)
     for t in range(1, budget + 1):
         p = 1 + t * q_pow
-        if p >= _PSI_12:
-            raise BoundExceededError(
-                f"prime hunt 1 + t*{q_pow} left the certified range of the "
-                f"primality test (below psi_12 = {_PSI_12}) at t = {t}"
-            )
         if p in exclusions:
             continue
         verdict = _sieve(p)

@@ -43,7 +43,6 @@ from . import abscenter, genericgroup
 from .config import Bounds, DEFAULT_BOUNDS, TABLE_BOUND
 from .errors import BoundExceededError, CertificateError
 from .numtheory import (
-    _PSI_12,
     factorize,
     find_element_of_order,
     find_prime_in_progression,
@@ -97,10 +96,12 @@ class RealiserCertificate:
         return [ZmTriple(f.p, f.q ** (2 * f.alpha), f.r % f.p, f.q_pow) for f in self.factors]
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "RealiserCertificate":
+    def from_json_dict(cls, doc: object) -> "RealiserCertificate":
         """The certificate a JSON document describes, checked.  A missing
         field, or a value of the wrong JSON type, is a CertificateError
-        that names the field."""
+        that names the field, and so is a document that is no JSON object."""
+        if type(doc) is not dict:
+            raise CertificateError(f"certificate must be a JSON object, got {doc!r}")
         schema = doc.get("schema")
         if type(schema) is not int or schema != 1:
             raise CertificateError(f"unsupported certificate schema: {schema!r}")
@@ -134,9 +135,9 @@ def validate_certificate(
     cert: RealiserCertificate, decomposition: tuple[tuple[int, int], ...] | None = None
 ) -> None:
     """Check every structural invariant; raises CertificateError, or
-    TripleError for a bad factor presentation, or BoundExceededError when
-    a cofactor of N or an auxiliary prime is outside the certified range
-    of the primality test (below psi_12).
+    TripleError for a bad factor presentation, or the BoundExceededError of
+    `is_prime` when a cofactor of N or an auxiliary prime the lemma does
+    not prove is at or past psi_12.
 
     The factors must be the prime powers of N in ascending q;
     `decomposition` is `factorize(cert.N)` when the caller has just
@@ -146,9 +147,9 @@ def validate_certificate(
     two modular powers before it have already proven to be q^alpha.  When
     p < (q^alpha + 1)^2, which is t <= q^alpha + 1 for p = 1 + t*q^alpha,
     those two powers also prove p prime by `pocklington_proves_prime`,
-    with r as the witness.  `is_prime` decides every p the lemma does not
-    prove, so a bad certificate is refused by the same test with the same
-    message.
+    with r as the witness, at any size.  `is_prime` decides every p the
+    lemma does not prove, so a bad certificate is refused by the same test
+    with the same message.
 
     The factor orders p * q^(2 alpha) are pairwise coprime once these
     checks pass, so no separate test is made.  Each q is a distinct prime
@@ -173,11 +174,6 @@ def validate_certificate(
     if qs & set(ps):
         raise CertificateError(f"auxiliary primes collide with {sorted(qs & set(ps))}")
     for f in cert.factors:
-        if f.p >= _PSI_12:
-            raise BoundExceededError(
-                f"auxiliary prime {f.p} is outside the certified range of the "
-                f"primality test (below psi_12 = {_PSI_12})"
-            )
         # q is prime (the factors match factorize(N)), so ord_p(r) = q^alpha
         # iff r^(q^alpha) = 1 and r^(q^(alpha-1)) != 1; the same two powers
         # prove p prime by Pocklington's lemma when it applies; is_prime

@@ -452,11 +452,7 @@ def reference_validate_certificate(cert, decomposition=None) -> None:
     if qs & set(ps):
         raise CertificateError(f"auxiliary primes collide with {sorted(qs & set(ps))}")
     for f in cert.factors:
-        if f.p >= _PSI_12:
-            raise BoundExceededError(
-                f"auxiliary prime {f.p} is outside the certified range of the "
-                f"primality test (below psi_12 = {_PSI_12})"
-            )
+        # is_prime refuses p at or past psi_12
         if not is_prime(f.p):
             raise CertificateError(f"{f.p} is not prime")
         if (f.p - 1) % f.q_pow != 0:

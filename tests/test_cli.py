@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -14,6 +15,11 @@ import pytest
 
 from zmcenter import abscenter, aut, cli, genericgroup, numtheory, realiser, zm
 from zmcenter.zm import ZmTriple
+
+try:  # a test-only dependency, for an independent primality check
+    import sympy
+except ImportError:
+    sympy = None
 
 
 SCAN_REFUSAL_63 = "error: factor ZM(7,9,4) of order 63 exceeds the scan bounds"
@@ -608,8 +614,12 @@ class TestBoundExits:
         assert calls == {"cayley": 0, "subgroups": 0, "compare": 0}
 
     def test_prime_hunt_past_certified_range_exits_3(self, capsys):
-        # 2^77: the hunt 1 + t*2^77 passes psi_12 at t = 3
-        code, _, err = run(capsys, "realise", "151115727451828646838272")
+        # 2^77: the lemma proves 1 + 29*2^77 prime past psi_12; 2^100: no
+        # base proves the prime candidate at t = 165, and is_prime refuses it
+        code, out, _ = run(capsys, "realise", str(2**77), "--json")
+        assert code == 0
+        assert json.loads(out)["factors"][0]["p"] == 1 + 29 * 2**77
+        code, _, err = run(capsys, "realise", str(2**100))
         assert code == 3
         assert "certified range" in err
 
@@ -639,7 +649,7 @@ class TestBoundExits:
         code, out, err = run(capsys, "realise", "318665858555474547773473")
         assert code == 3
         assert out == ""
-        assert "cofactor 318665858555474547773473 is outside" in err
+        assert "318665858555474547773473 is outside the certified range" in err
 
     def test_prime_budget_exhausted_exits_3(self, capsys):
         code, _, err = run(capsys, "realise", "4", "--prime-budget", "0")
@@ -653,6 +663,62 @@ class TestBoundExits:
         doc = json.loads(out)
         assert doc["formula_order"] == 25
         assert doc["oracle_order"] is None and doc["agree"] is None
+
+
+class TestPastCertifiedRange:
+    """Past psi_12 an auxiliary prime is proven by Pocklington's lemma, and
+    what no proof decides is refused by `is_prime` alone, with exit 3."""
+
+    ANSWERED = {
+        "2^77": 2**77,
+        "2^80": 2**80,
+        "2^256": 2**256,
+        "2^400": 2**400,
+        "3^50": 3**50,
+        "5^40": 5**40,
+        "7^30": 7**30,
+        "2^80*3^40": 2**80 * 3**40,
+        "(10^12+39)^2": (10**12 + 39) ** 2,
+    }
+
+    @pytest.mark.parametrize("N", ANSWERED.values(), ids=list(ANSWERED))
+    def test_realise_answers(self, capsys, N):
+        code, out, err = run(capsys, "realise", str(N), "--json")
+        assert (code, err) == (0, "")
+        # a loaded certificate factors its own N and checks every witness
+        cert = realiser.RealiserCertificate.from_json_dict(json.loads(out))
+        assert cert.N == N
+        assert any(f.p >= numtheory._PSI_12 for f in cert.factors)
+        for f in cert.factors:
+            # the lemma's two powers, recomputed here: r^(q^alpha) = 1,
+            # gcd(r^(q^(alpha-1)) - 1, p) = 1 and p < (q^alpha + 1)^2
+            # prove p prime
+            below = pow(f.r, f.q_pow // f.q, f.p)
+            assert pow(below, f.q, f.p) == 1
+            assert math.gcd(below - 1, f.p) == 1
+            assert f.p < (f.q_pow + 1) ** 2 and (f.p - 1) % f.q_pow == 0
+        if sympy is not None:
+            assert all(sympy.isprime(f.p) for f in cert.factors)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the least prime above psi_12, whose order ord_m(r) needs phi(m)
+            ["abscenter", "318665857834031151167483", "2", "318665857834031151167482"],
+            # (10^12 + 39)(10^12 + 61): a cofactor no perfect square
+            ["realise", "1000000000100000000002379"],
+            # the candidate 1 + 165*2^100 is prime, and no base proves it
+            ["realise", str(2**100)],
+            # forward verification factors the auxiliary prime p
+            ["verify", str(2**80)],
+        ],
+        ids=["abscenter-least-prime-above-psi_12", "realise-semiprime", "realise-2^100", "verify-2^80"],
+    )
+    def test_refusal_exits_3_and_names_the_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "is outside the certified range of the primality test" in err
+        assert "psi_12 = 318665857834031151167461" in err
 
 
 # For each bound flag a subcommand declares: an invocation, and the flag

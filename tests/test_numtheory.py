@@ -96,7 +96,8 @@ class TestIsPrime:
             assert is_prime(n)
 
     def test_rejects_values_beyond_certified_range(self):
-        with pytest.raises(ValueError, match="psi_12"):
+        # a bound, not a domain error: the CLI maps it to exit 3
+        with pytest.raises(BoundExceededError, match="certified range .*psi_12"):
             is_prime(318665857834031151167461)
 
     def test_accepts_values_above_2_64(self):
@@ -362,9 +363,13 @@ class TestFindPrimeInProgression:
         assert find_element_of_order(163, 3**4, q=3) == 4
 
     def test_hunt_past_certified_range_is_a_bound_error(self):
-        # 1 + t*2^77 is composite for t = 1, 2; t = 3 passes psi_12
-        with pytest.raises(BoundExceededError, match="certified range"):
-            find_prime_in_progression(2**77, {2}, q=2)
+        # past psi_12 the lemma proves 1 + 29*2^77 prime; for 2^100 the
+        # prime candidate at t = 165 is left open by every base, and the
+        # hunt refuses it rather than skip it
+        assert find_prime_in_progression(2**77, {2}, q=2) == 1 + 29 * 2**77
+        p = 1 + 165 * 2**100
+        with pytest.raises(BoundExceededError, match=rf"^{p} is outside the certified range"):
+            find_prime_in_progression(2**100, {2}, q=2)
 
     def test_budget_exhaustion_raises(self):
         # candidates 5, 9, 13, 17 are excluded or composite

@@ -217,6 +217,11 @@ class TestCertificateValidation:
         with pytest.raises(CertificateError, match=message):
             realiser.RealiserCertificate.from_json_dict(doc)
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None, 12, []])
+    def test_document_that_is_no_object_is_a_certificate_error(self, doc):
+        with pytest.raises(CertificateError, match="^certificate must be a JSON object, got "):
+            realiser.RealiserCertificate.from_json_dict(doc)
+
     @pytest.mark.parametrize(
         "N, mutation",
         [
