@@ -61,7 +61,7 @@ never a disagreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import aut
@@ -163,10 +163,13 @@ def compare(t: ZmTriple) -> AbsCenterComparison:
     ORACLE_BOUND, compare exactly.
 
     Agreement means set equality: the oracle fixed points are precisely
-    the cyclic subgroup generated by b^(d*e).  Whenever the oracle runs,
-    the generator must be one of its fixed points, else RuntimeError: b^(de)
-    is fixed by (x1, x2, y) iff n | de*(y-1) and m | x2*[de]_r, which the
-    parameter constraints guarantee, so a miss means they are broken.
+    the cyclic subgroup generated by b^(d*e).  It is decided without a
+    second set: the span's elements b^u are distinct, so the two sets are
+    equal iff they have the same size and every b^u of the span is in the
+    oracle set.  Whenever the oracle runs, the generator must be one of
+    its fixed points, else RuntimeError: b^(de) is fixed by (x1, x2, y)
+    iff n | de*(y-1) and m | x2*[de]_r, which the parameter constraints
+    guarantee, so a miss means they are broken.
     Above the bound the formula's record is returned as it is.
     """
     formula = absolute_center_formula(t)
@@ -181,5 +184,7 @@ def compare(t: ZmTriple) -> AbsCenterComparison:
         )
     # the powers of b^(de) are the b^u, u a multiple of gcd(de, n)
     span = range(0, t.n, math.gcd(generator.u, t.n))
-    agree = oracle == {ZmElement(u, 0) for u in span}
-    return replace(formula, oracle_order=len(oracle), agree=agree)
+    agree = len(oracle) == len(span) and all(ZmElement(u, 0) in oracle for u in span)
+    return AbsCenterComparison(
+        t, formula.e, formula.formula_order, generator, len(oracle), agree
+    )

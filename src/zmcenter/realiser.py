@@ -35,9 +35,9 @@ Verification:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass
+from operator import itemgetter
 
 from . import abscenter, genericgroup
 from .config import Bounds, DEFAULT_BOUNDS, TABLE_BOUND
@@ -292,30 +292,38 @@ def verify_forward(cert: RealiserCertificate) -> tuple[ForwardRow, ...]:
         the product of the q^beta only when each order is its own q^beta;
       - `agree is True` means the oracle set is <b^(de)>, so then the
         oracle order is the formula order.
+
+    The rows are built as one running product over the factors: starting
+    from the empty row (divisor 1, no factors, both products 1, passing),
+    each factor extends every partial row by each of its records.  After
+    the last factor the partial rows are the choices of one record per
+    factor, each once, and each field is a left fold along its choice: the
+    divisor, the formula product and the oracle product fold by
+    multiplication (the oracle product turns None at the first skipped
+    oracle and stays None, so it is the product exactly when no oracle of
+    the row was skipped), and the verdict folds by AND.  The divisors are
+    distinct, so sorting by them orders the rows totally.
     """
-    records = []
+    rows = [(1, (), 1, 1, True)]
     for f in cert.factors:
         by_beta = []
         for beta, t in enumerate(f.divisor_triples()):
             q_beta, c = f.q**beta, abscenter.compare(t)
             ok = c.formula_order == q_beta and c.oracle_order in (None, q_beta)
             by_beta.append((q_beta, c, ok and c.agree is not False))
-        records.append(by_beta)
-    rows = []
-    for choice in itertools.product(*records):
-        factors = tuple(c for _, c, _ in choice)
-        oracles = [c.oracle_order for c in factors]
-        rows.append(
-            ForwardRow(
-                divisor=math.prod(q_beta for q_beta, _, _ in choice),
-                factors=factors,
-                formula_product=math.prod(c.formula_order for c in factors),
-                oracle_product=None if None in oracles else math.prod(oracles),
-                passed=all(ok for _, _, ok in choice),
+        rows = [
+            (
+                divisor * q_beta,
+                factors + (c,),
+                formula * c.formula_order,
+                None if oracle is None or c.oracle_order is None else oracle * c.oracle_order,
+                passed and ok,
             )
-        )
-    rows.sort(key=lambda row: row.divisor)
-    return tuple(rows)
+            for divisor, factors, formula, oracle, passed in rows
+            for q_beta, c, ok in by_beta
+        ]
+    rows.sort(key=itemgetter(0))
+    return tuple(ForwardRow(*row) for row in rows)
 
 
 def _scan_subgroups(

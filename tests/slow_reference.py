@@ -30,14 +30,19 @@ modulo every m to a walk over odd m bounded by the cap on n, and the
 prime hunt and the certificate check moved from `is_prime` on every
 auxiliary prime to Pocklington's lemma wherever it applies, and
 `aut.to_permutation` moved from one `aut.apply` per element to one
-geometric sum per u.  The tests check the package against them; they
+geometric sum per u, `realiser.verify_forward` moved from one
+`itertools.product` choice per row to one running product over the
+factors, and `abscenter.compare` moved from `dataclasses.replace` and a
+second set for the span to one constructor call and a size-and-membership
+test.  The tests check the package against them; they
 are never used by the package itself.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count
+from dataclasses import replace
+from itertools import count, product
 from operator import itemgetter
 from typing import Iterator
 
@@ -317,6 +322,60 @@ def reference_verify_forward(cert: realiser.RealiserCertificate) -> tuple[realis
             )
         )
     return tuple(rows)
+
+
+def reference_forward_records(cert: realiser.RealiserCertificate) -> list[list[tuple]]:
+    """Per factor, the (q^beta, comparison, ok) record of each beta, as
+    `realiser.verify_forward` builds them, by `abscenter.compare`."""
+    records = []
+    for f in cert.factors:
+        by_beta = []
+        for beta, t in enumerate(f.divisor_triples()):
+            q_beta, c = f.q**beta, abscenter.compare(t)
+            ok = c.formula_order == q_beta and c.oracle_order in (None, q_beta)
+            by_beta.append((q_beta, c, ok and c.agree is not False))
+        records.append(by_beta)
+    return records
+
+
+def reference_product_rows(records: list[list[tuple]]) -> tuple[realiser.ForwardRow, ...]:
+    """The forward rows of the given records, one `itertools.product`
+    choice of one record per factor per row, each field evaluated afresh
+    over the choice."""
+    rows = []
+    for choice in product(*records):
+        factors = tuple(c for _, c, _ in choice)
+        oracles = [c.oracle_order for c in factors]
+        rows.append(
+            realiser.ForwardRow(
+                divisor=math.prod(q_beta for q_beta, _, _ in choice),
+                factors=factors,
+                formula_product=math.prod(c.formula_order for c in factors),
+                oracle_product=None if None in oracles else math.prod(oracles),
+                passed=all(ok for _, _, ok in choice),
+            )
+        )
+    rows.sort(key=lambda row: row.divisor)
+    return tuple(rows)
+
+
+def reference_compare(t: ZmTriple) -> abscenter.AbsCenterComparison:
+    """`abscenter.compare` completing the formula's record by
+    `dataclasses.replace`, with agreement as equality against a second set
+    built from the span."""
+    formula = abscenter.absolute_center_formula(t)
+    if t.order > abscenter.ORACLE_BOUND:
+        return formula
+    oracle = abscenter.absolute_center_oracle(t)
+    generator = formula.formula_generator
+    if generator not in oracle:
+        raise RuntimeError(
+            f"closed-form generator {generator} of {t} is not fixed "
+            "by the automorphism family: parameter constraints are broken"
+        )
+    span = range(0, t.n, math.gcd(generator.u, t.n))
+    agree = oracle == {ZmElement(u, 0) for u in span}
+    return replace(formula, oracle_order=len(oracle), agree=agree)
 
 
 def reference_closure(

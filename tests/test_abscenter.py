@@ -9,6 +9,7 @@ from slow_reference import (
     reference_absolute_center_formula,
     reference_absolute_center_oracle,
     reference_agree,
+    reference_compare,
     reference_generator_oracle,
     reference_product_oracle,
 )
@@ -286,6 +287,28 @@ class TestCompare:
         assert len(valid_triples) == 7318
         assert agree == [reference_agree(t) for t in valid_triples]
         assert True in agree and False in agree
+
+    def test_matches_the_replace_reference(self, valid_triples):
+        assert [abscenter.compare(t) for t in valid_triples] == [
+            reference_compare(t) for t in valid_triples
+        ]
+
+    def test_matches_the_replace_reference_above_the_oracle_bound(self):
+        # order 2004, just above ORACLE_BOUND: the oracle is skipped
+        t = validate_triple(3, 668, 2)
+        cmp = abscenter.compare(t)
+        assert cmp == reference_compare(t)
+        assert cmp.oracle_order is None and cmp.agree is None
+
+    def test_same_size_oracle_missing_a_power_disagrees(self, monkeypatch, zm_5_16_2):
+        # the oracle swaps b^8 for b^1: as large as the span of b^4 and
+        # holding the generator, yet not equal to the span
+        real_oracle = abscenter.absolute_center_oracle
+        swapped = lambda t: real_oracle(t) - {ZmElement(8, 0)} | {ZmElement(1, 0)}
+        monkeypatch.setattr(abscenter, "absolute_center_oracle", swapped)
+        cmp = abscenter.compare(zm_5_16_2)
+        assert cmp == reference_compare(zm_5_16_2)
+        assert (cmp.oracle_order, cmp.agree) == (4, False)
 
     def test_json_shape(self, zm_5_16_2):
         doc = json.loads(schemas.abscenter(abscenter.compare(zm_5_16_2)))

@@ -9,8 +9,9 @@ SHA-256 of stdout and the stderr text must match byte for byte.
   `realise N` and forward `verify N` for N = 1..30, `oracle-check` on
   triples within the oracle bound, `realise N --json` on 40 seeded
   larger N: semiprimes, prime squares, smooth N and primes in
-  10^12..10^15, `verify N --json` for N = 720, 840, 900, 960 and 1000,
-  whose reports repeat factor rows across many divisors, and
+  10^12..10^15, `verify N --json` for N = 720, 840, 900, 960, 1000,
+  5040 and 720720 (and `verify 720720` as text), whose reports repeat
+  factor rows across many divisors, and
   `abscenter --json` on twelve more triples that disagree, sit outside
   the guaranteed regime, or are above the oracle bound.
 
@@ -120,6 +121,10 @@ def _cli_argvs() -> list[list[str]]:
     ]
     # forward reports of the benchmark's pool: 30, 27 and 28 divisors
     argvs += [["verify", n, "--json"] for n in ("720", "900", "960")]
+    # wide rows: 720720 has six factors, 240 divisors and factors above
+    # the oracle bound, so its rows carry a null oracle product; 5040 has
+    # four factors and 60 divisors
+    argvs += [["verify", "720720", "--json"], ["verify", "720720"], ["verify", "5040", "--json"]]
     return argvs
 
 

@@ -11,6 +11,8 @@ from group_helpers import NAMED_GROUPS, divisors
 from slow_reference import (
     reference_as_group,
     reference_coset_subgroups,
+    reference_forward_records,
+    reference_product_rows,
     reference_validate_certificate,
     reference_verify_forward,
 )
@@ -164,8 +166,8 @@ class TestCertificateValidation:
         assert calls == []
 
     def test_auxiliary_prime_past_certified_range_is_a_bound_error(self):
-        # is_prime cannot certify p >= psi_12; the check refuses it with
-        # the range, not with the primality test's bare ValueError
+        # is_prime cannot certify p >= psi_12; its own BoundExceededError,
+        # which names the certified range, reaches the caller unchanged
         psi12 = 318665857834031151167461
         doc = {"schema": 1, "N": 2, "factors": [{"q": 2, "alpha": 1, "p": psi12 + 2, "r": 1}]}
         with pytest.raises(BoundExceededError, match=r"certified range .*psi_12"):
@@ -354,6 +356,40 @@ class TestVerifyForward:
         assert len(rows) == len(reference)
         for row, ref in zip(rows, reference):
             assert row == ref
+
+    def test_fold_matches_product_rows_up_to_2000(self):
+        for n in range(1, 2001):
+            cert = realiser.realise(n)
+            rows = realiser.verify_forward(cert)
+            assert rows == reference_product_rows(reference_forward_records(cert)), n
+
+    def test_fold_matches_product_rows_on_6720_divisors(self):
+        cert = realiser.realise(963761198400)
+        rows = realiser.verify_forward(cert)
+        assert len(rows) == 6720
+        assert rows == reference_product_rows(reference_forward_records(cert))
+
+    def test_fold_matches_product_rows_on_skipped_and_failed_records(self, monkeypatch):
+        # 720 = 2^4 3^2 5: the oracle is skipped at q = 2, beta = 1 and
+        # disagrees at q = 3, beta = 1, so rows mix a null oracle product
+        # with numbers and failing with passing verdicts
+        real_compare = abscenter.compare
+
+        def mixed(t):
+            c = real_compare(t)
+            if t.n == 2**5:
+                return dataclasses.replace(c, oracle_order=None, agree=None)
+            if t.n == 3**3:
+                return dataclasses.replace(c, agree=False)
+            return c
+
+        monkeypatch.setattr(abscenter, "compare", mixed)
+        cert = realiser.realise(720)
+        rows = realiser.verify_forward(cert)
+        assert rows == reference_product_rows(reference_forward_records(cert))
+        assert {row.oracle_product is None for row in rows} == {True, False}
+        assert {row.passed for row in rows} == {True, False}
+        assert all(row.passed == (math.gcd(row.divisor, 3**2) != 3) for row in rows)
 
     def test_each_distinct_triple_compared_once_per_call(self, monkeypatch):
         compared = []
