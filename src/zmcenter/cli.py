@@ -37,7 +37,11 @@ def _emit_json(text: str) -> None:
 def _bounds_from_args(args: argparse.Namespace) -> Bounds:
     """The one place a subcommand's bound flags become `Bounds`, whose
     every field is a flag.  A bound with no flag on the subcommand keeps
-    its default."""
+    its default; a negative bound is a usage error."""
+    for dest in ("aut_bound", "subgroup_bound", "prime_budget"):
+        value = getattr(args, dest, 0)
+        if value < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
     return Bounds(
         aut=getattr(args, "aut_bound", DEFAULT_BOUNDS.aut),
         subgroups=getattr(args, "subgroup_bound", DEFAULT_BOUNDS.subgroups),

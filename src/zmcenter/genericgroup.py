@@ -25,6 +25,11 @@ found.  An absolute center is the set of points those generators fix;
 `automorphisms_bruteforce` closes them in Sym(n) for the callers that
 need every automorphism, such as `oracle-check`.
 
+`_reach` is the one closure and orbit search.  `_coset_join` (a whole left
+coset z*s per new element, so s must be a subgroup of a group) and
+`extend` (it builds the map it checks, and stops at the first clash)
+stay loops of their own: a step x -> f(x) carries neither.
+
 The engines take a table of any order: one of order n holds n^2
 entries and the scans cost more, so each caller decides what it can
 afford.  The commands that build tables, `verify --converse` and
@@ -34,6 +39,7 @@ afford.  The commands that build tables, `verify --converse` and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, product
@@ -105,42 +111,29 @@ class CayleyGroup:
 
     @cached_property
     def generating_sequence(self) -> tuple[int, ...]:
-        """Greedy: highest-order element first, then keep adding a
-        highest-order element outside the closure (smallest index on ties).
-        Built once per table for Light's test and the automorphism search."""
+        """Greedy, in one pass by decreasing order (smallest index on
+        ties): take each element outside the closure of those taken.  The
+        closure only grows, so each pick is a highest-order element outside
+        it.  Built once per table for Light's test and the automorphism search."""
+        orders = self.element_orders
         gens: list[int] = []
         have = frozenset([self.identity_index])
-        orders = self.element_orders
-        while len(have) < self.order:
-            best = max(
-                (i for i in range(self.order) if i not in have),
-                key=lambda i: (orders[i], -i),
-            )
-            gens.append(best)
-            have = self.closure(set(gens))
+        for g in sorted(range(self.order), key=lambda i: (-orders[i], i)):
+            if g not in have:
+                gens.append(g)
+                have = self.closure(gens)
         return tuple(gens)
 
-    def closure(self, seed: frozenset[int] | set[int] | tuple[int, ...]) -> frozenset[int]:
-        """Subgroup generated by the seed, by a search of its Cayley graph
-        from the identity: each newly reached element is multiplied on the
-        right by the seed elements only, so the cost is O(|result| * |seed|).
-
-        The search reaches every product of seed elements.  That is the
-        whole generated subgroup: the group is finite, so each inverse
-        g^-1 = g^(ord g - 1) is itself such a product.
-        """
-        gens = tuple(set(seed))
+    def closure(self, seed: Iterable[int]) -> frozenset[int]:
+        """Subgroup generated by the seed: `_reach` from the identity, one
+        step x -> x*g per seed element g, O(|result| * |seed|).  Right
+        products alone reach every product of seed elements, which in a
+        finite group is the subgroup (g^-1 = g^(ord g - 1)).  On a table not
+        yet proven associative (`_validate` reads `generating_sequence`),
+        what they reach, ((e*s1)*s2)*..., is what Light's test covers."""
         table = self.table
-        members = {self.identity_index}
-        queue = [self.identity_index]
-        while queue:
-            row = table[queue.pop()]
-            for g in gens:
-                z = row[g]
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-        return frozenset(members)
+        steps = [lambda x, g=g: table[x][g] for g in set(seed)]
+        return frozenset(_reach({self.identity_index}, steps))
 
 
 def _find_identity(table) -> int:
@@ -480,7 +473,9 @@ def automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
 def _reach(start: set, maps: list) -> set:
     """Everything the maps reach from the start, the start included.  When
     the maps are permutations of a finite set, that is the orbit of the
-    start under the group they generate: each inverse is a positive power."""
+    start under the group they generate: each inverse is a positive power.
+    It runs `CayleyGroup.closure`, the conjugacy classes of `subgroups`,
+    and the orbits and Sym(n) closure of the automorphism search."""
     out = set(start)
     queue = list(out)
     while queue:

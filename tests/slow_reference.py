@@ -32,10 +32,12 @@ auxiliary prime to Pocklington's lemma wherever it applies, and
 `aut.to_permutation` moved from one `aut.apply` per element to one
 geometric sum per u, `realiser.verify_forward` moved from one
 `itertools.product` choice per row to one running product over the
-factors, and `abscenter.compare` moved from `dataclasses.replace` and a
+factors, `abscenter.compare` moved from `dataclasses.replace` and a
 second set for the span to one constructor call and a size-and-membership
-test.  The tests check the package against them; they
-are never used by the package itself.
+test, `CayleyGroup.closure` moved from its own breadth-first search to
+`_reach`, and `generating_sequence` moved from a `max` over the whole
+complement after every pick to one pass in order.  The tests check the
+package against them; they are never used by the package itself.
 """
 
 from __future__ import annotations
@@ -398,6 +400,43 @@ def reference_closure(
                     elems.append(z)
                     queue.append(z)
     return frozenset(members)
+
+
+def reference_right_closure(group: CayleyGroup, seed) -> frozenset[int]:
+    """The search `CayleyGroup.closure` ran before it was `_reach`: from
+    the identity, each newly reached element is multiplied on the right by
+    the seed elements only.  On a group it equals `reference_closure`,
+    which closes under products in both orders; on other tables the two
+    may differ."""
+    gens = tuple(set(seed))
+    table = group.table
+    members = {group.identity_index}
+    queue = [group.identity_index]
+    while queue:
+        row = table[queue.pop()]
+        for g in gens:
+            z = row[g]
+            if z not in members:
+                members.add(z)
+                queue.append(z)
+    return frozenset(members)
+
+
+def reference_generating_sequence(group: CayleyGroup) -> tuple[int, ...]:
+    """The greedy `CayleyGroup.generating_sequence` before it was one
+    ordered pass: re-scan every element outside the closure after each
+    pick, and take a highest-order one (smallest index on ties)."""
+    gens: list[int] = []
+    have = frozenset([group.identity_index])
+    orders = group.element_orders
+    while len(have) < group.order:
+        best = max(
+            (i for i in range(group.order) if i not in have),
+            key=lambda i: (orders[i], -i),
+        )
+        gens.append(best)
+        have = reference_right_closure(group, set(gens))
+    return tuple(gens)
 
 
 def reference_factorize(n: int) -> tuple[tuple[int, int], ...]:

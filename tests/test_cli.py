@@ -759,6 +759,13 @@ class TestNoDeadFlag:
         argv, flag = BOUND_FLAG_CASES[key]
         assert run(capsys, *argv) != run(capsys, *argv, *flag)
 
+    @pytest.mark.parametrize("key", sorted(BOUND_FLAG_CASES))
+    def test_negative_bound_is_a_usage_error(self, capsys, key):
+        # as a negative positional is; zero stays a bound (see
+        # test_prime_budget_exhausted_exits_3)
+        argv, (flag, _) = BOUND_FLAG_CASES[key]
+        assert run(capsys, *argv, flag, "-1") == (2, "", f"error: {flag} must be >= 0, got -1\n")
+
     def test_every_bounds_field_is_read_from_a_flag(self):
         # a Bounds field with no flag would keep its default here
         argv = ["verify", "4", "--aut-bound", "11", "--subgroup-bound", "12", "--prime-budget", "13"]

@@ -12,7 +12,9 @@ from slow_reference import (
     reference_coset_subgroups,
     reference_direct_product,
     reference_element_orders,
+    reference_generating_sequence,
     reference_is_associative,
+    reference_right_closure,
     reference_subgroups,
 )
 from zmcenter import abscenter, aut, genericgroup as gg
@@ -363,9 +365,11 @@ class TestSubgroupsMatchClosureWalk:
 def _extensions_match_closures(group: gg.CayleyGroup, monkeypatch) -> None:
     """Every cyclic closure({g}), and every extension of s by g in
     `subgroups`, equals the reference's closure under all pairwise
-    products; each extension also equals closure(s | {g})."""
+    products; each extension also equals closure(s | {g}).  Each closure
+    also equals the right-multiplication search's."""
     for g in range(group.order):
         assert group.closure({g}) == reference_closure(group, {g}), g
+        assert group.closure({g}) == reference_right_closure(group, {g}), g
     extensions = []
     real = gg._coset_join
 
@@ -380,6 +384,7 @@ def _extensions_match_closures(group: gg.CayleyGroup, monkeypatch) -> None:
     for s, g, t in extensions:
         seed = s | {g}
         assert t == group.closure(seed) == reference_closure(group, seed), (sorted(s), g)
+        assert t == reference_right_closure(group, seed), (sorted(s), g)
 
 
 class TestClosureMatchesReference:
@@ -405,6 +410,48 @@ class TestClosureMatchesReference:
         for _ in range(200):
             seed = {rng.randrange(group.order) for _ in range(rng.randint(0, 3))}
             assert group.closure(seed) == reference_closure(group, seed), seed
+            assert group.closure(seed) == reference_right_closure(group, seed), seed
+
+
+def _sequence_or_error(sequence) -> tuple[int, ...] | str:
+    try:
+        return sequence()
+    except ValueError:
+        return "ValueError"
+
+
+class TestGeneratingSequenceMatchesReference:
+    """One ordered pass gives the greedy sequence of the `max` re-scan on
+    every table, group or not; on a table with an element that no power
+    takes to the identity, both raise ValueError."""
+
+    def test_groups_and_non_associative_tables(self):
+        tables = [build().table for build in NAMED_GROUPS.values()]
+        tables += [t.cayley().table for t in iter_valid_triples(200)]
+        tables.append(
+            gg.direct_product(
+                [validate_triple(3, 4, 2).cayley(), validate_triple(5, 16, 2).cayley()]
+            ).table
+        )
+        tables.append(LOOP_6)
+        # every table with permutation rows and a two-sided identity, of
+        # orders 3 and 4: some have an element with no power the identity
+        tables += [*_tables_with_permutation_rows(3), *_tables_with_permutation_rows(4)]
+        # the squares of TestAssociativityCheck: random Latin squares
+        # with an identity, then relabelled group tables
+        for n in (5, 6):
+            rng = random.Random(0x11647 + n)
+            tables += [_random_latin_square_with_identity(rng, n) for _ in range(300)]
+            groups = [gg.cyclic_group(n)] + ([validate_triple(3, 2, 2).cayley()] if n == 6 else [])
+            tables += [_relabel(g.table, rng) for g in groups for _ in range(20)]
+        outcomes = {"ValueError": 0, "sequence": 0}
+        for table in tables:
+            group = gg.CayleyGroup(table, gg._find_identity(table))  # unchecked
+            fast = _sequence_or_error(lambda: group.generating_sequence)
+            assert fast == _sequence_or_error(lambda: reference_generating_sequence(group)), table
+            outcomes["ValueError" if fast == "ValueError" else "sequence"] += 1
+        assert len(tables) == 9 + 289 + 1 + 1 + 12 + 864 + 660
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestElementOrders:
