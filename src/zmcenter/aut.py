@@ -92,9 +92,7 @@ def units(t: ZmTriple) -> Iterator[int]:
 def valid_ys(t: ZmTriple) -> Iterator[int]:
     """All admissible b-exponents, in increasing order: y = 1 (mod d) and
     gcd(y, n) = 1.  Lazy like `units`."""
-    if t.n == 1:
-        return iter((0,))
-    return (y for y in range(1, t.n, t.d) if math.gcd(y, t.n) == 1)
+    return (y for y in range(1 % t.n, t.n, t.d) if math.gcd(y, t.n) == 1)
 
 
 def family_size(t: ZmTriple) -> int:
@@ -104,7 +102,8 @@ def family_size(t: ZmTriple) -> int:
 
 
 def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
-    """The exact parameter set of one family, sorted for reproducibility.
+    """The exact parameter set of one family, in increasing order: `all`,
+    `central` and `ia` are built in that order, `inner` is sorted.
 
     Inner automorphisms are extracted from actual conjugation maps
     (h = b^s a^w with s < d suffices: b^d is central) and deduplicated.
@@ -119,9 +118,7 @@ def enumerate_family(t: ZmTriple, family: str = "all") -> list[AutTriple]:
     elif family == "ia":
         out = [AutTriple(x1, x2, 1 % t.n) for x1 in units(t) for x2 in range(t.m)]
     else:
-        seen = {conjugation(t, t.element(s, w)) for s in range(t.d) for w in range(t.m)}
-        out = list(seen)
-    out.sort()
+        out = sorted({conjugation(t, t.element(s, w)) for s in range(t.d) for w in range(t.m)})
     return out
 
 

@@ -94,7 +94,6 @@ class CayleyGroup:
         walk longer than the order, which only a non-group has, raises ValueError."""
         table, ident = self.table, self.identity_index
         orders = [0] * self.order
-        orders[ident] = 1
         for g in range(self.order):
             if orders[g]:
                 continue
@@ -188,11 +187,8 @@ def cyclic_group(k: int) -> CayleyGroup:
 def direct_product(factors: list[CayleyGroup] | tuple[CayleyGroup, ...]) -> CayleyGroup:
     """Componentwise product; index tuples are flattened factor-major.
     Every entry is one of `order` shared int objects, so the table holds
-    pointers to them rather than one int object per entry."""
-    if len(factors) == 0:
-        return cyclic_group(1)
-    if len(factors) == 1:
-        return factors[0]
+    pointers to them rather than one int object per entry.  The product of
+    one table is an equal copy of it, and of none the trivial group."""
     order = math.prod(g.order for g in factors)
     # the parts of every index in index order: factor-major, so the first
     # factor varies slowest

@@ -238,8 +238,6 @@ def multiplicative_order(r: int, m: int) -> int:
     """Least k >= 1 with r^k = 1 (mod m); requires gcd(r, m) = 1."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return 1
     r %= m
     if math.gcd(r, m) != 1:
         raise ValueError(f"order of {r} mod {m} undefined: gcd is {math.gcd(r, m)}")

@@ -355,7 +355,7 @@ def _scan_subgroups(
 
 def verify_converse(
     cert: RealiserCertificate, bounds: Bounds = DEFAULT_BOUNDS
-) -> tuple[tuple[ConverseFactorRow, ...], FullProductRow | None]:
+) -> tuple[tuple[ConverseFactorRow, ...], FullProductRow]:
     """Exhaustive per-factor subgroup scans, plus a direct scan of the full
     product group whenever it fits the bounds (the product-splitting step
     then gets spot-checked, not just assumed).
@@ -366,10 +366,10 @@ def verify_converse(
     converse's only gates: the table engines take any order.
 
     A one-factor certificate reuses its factor scan as the full-product
-    scan: `genericgroup.direct_product` of one table is that table, and
-    the factor's target q^alpha is N, so a second scan would run the same
-    brute force on the same group against the same target.  Nothing the
-    check looks at is skipped.
+    scan, keyed here on the number of factors: the product of one table
+    is an equal copy of it, and the factor's target q^alpha is N, so a
+    second scan would run the same brute force on an equal group against
+    the same target.  Nothing the check looks at is skipped.
     """
     triples = cert.triples()
     for t in triples:

@@ -1,16 +1,19 @@
 """Kept mutants of the cross-checks, and the score the tier-1 suite gets on them.
 
-    python tests/mutants.py
+    python tests/mutants.py           # run every mutant
+    python tests/mutants.py --check   # only check that every entry applies
 
-Each entry is one source edit: (name, path, old, new, reason).  The script
-copies the checkout to a temporary directory once; for each entry it
+Each entry is one source edit: (name, path, old, new, reason).  Before it
+runs any mutant, the script checks every entry: an `old` that is not in
+its file exactly once is a stale entry and stops the script with exit 2.
+It then copies the checkout to a temporary directory once; for each entry it
 replaces the one occurrence of `old` in `path` by `new`, runs the tier-1
 command there with `-x -q`, and restores the file.  A mutant is killed
 when that run fails or hangs past TIMEOUT_S.  It prints killed or survived per mutant,
 then killed/total, and exits 1 if a mutant survives whose reason is
 None.  A reason marks a mutant as believed equivalent, no input telling
-it from the program, and says why.  An `old` that is not in its file
-exactly once is a stale entry and stops the script with exit 2.
+it from the program, and says why.  With --check it stops after the
+entry check, with exit 0 when every entry applies.
 
 Standard library only; pytest does not collect this file.
 """
@@ -29,7 +32,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "--continue-on-collection-errors"]
 TIMEOUT_S = 900  # a run this long counts as killed: the mutant hangs
 
+ABSCENTER = "src/zmcenter/abscenter.py"
+CLI = "src/zmcenter/cli.py"
 GENERICGROUP = "src/zmcenter/genericgroup.py"
+NUMTHEORY = "src/zmcenter/numtheory.py"
 REALISER = "src/zmcenter/realiser.py"
 
 MUTANTS = [
@@ -82,6 +88,77 @@ MUTANTS = [
         " pairs this loop checks; unproven in general, so the loop stays: it"
         " alone makes `reached` provably a subgroup",
     ),
+    # each clause of oracle-check's verdict, dropped in turn
+    (
+        "oracle-check-ignores-the-count-formula",
+        CLI,
+        "aut_agree = formula_aut == enumerated and (",
+        "aut_agree = (",
+        None,
+    ),
+    (
+        "oracle-check-ignores-the-bruteforce-count",
+        CLI,
+        "(brute_aut is None or brute_aut == enumerated)",
+        "True",
+        None,
+    ),
+    (
+        "oracle-check-ignores-the-bruteforce-l",
+        CLI,
+        "(l_brute is None or l_brute == cmp.oracle_order)",
+        "True",
+        None,
+    ),
+    (
+        "oracle-check-ignores-the-oracle-verdict",
+        CLI,
+        "l_agree = cmp.agree is True and (",
+        "l_agree = (",
+        None,
+    ),
+    (
+        "oracle-check-ignores-the-permutation-sets",
+        CLI,
+        "verdict = aut_agree and l_agree and aut_tables_agree is not False",
+        "verdict = aut_agree and l_agree",
+        None,
+    ),
+    (
+        "pocklington-admits-the-square-bound",
+        NUMTHEORY,
+        "return p < (q_pow + 1) ** 2 and",
+        "return p <= (q_pow + 1) ** 2 and",
+        None,
+    ),
+    (
+        "pocklington-ignores-the-top-power",
+        NUMTHEORY,
+        "(q_pow + 1) ** 2 and top == 1 and math.gcd",
+        "(q_pow + 1) ** 2 and math.gcd",
+        None,
+    ),
+    (
+        "certificate-ignores-the-lower-power",
+        REALISER,
+        "if top != 1 or below == 1:",
+        "if top != 1:",
+        None,
+    ),
+    (
+        "certificate-ignores-p-mod-q-power",
+        REALISER,
+        "if (f.p - 1) % f.q_pow != 0:",
+        "if False:",
+        None,
+    ),
+    (
+        "compare-ignores-the-oracle-size",
+        ABSCENTER,
+        "agree = len(oracle) == len(span) and all(",
+        "agree = all(",
+        None,
+    ),
 ]
 
 
@@ -107,7 +184,27 @@ def _run(copy: pathlib.Path) -> tuple[bool, float]:
     return code != 0, time.perf_counter() - start
 
 
-def main() -> int:
+def _stale_entries() -> list[str]:
+    """A message for each entry whose `old` is not in its file exactly once."""
+    return [
+        f"stale mutant {name}: {old!r} is not in {path} once"
+        for name, path, old, _, _ in MUTANTS
+        if (ROOT / path).read_text().count(old) != 1
+    ]
+
+
+def main(argv: list[str]) -> int:
+    stale = _stale_entries()
+    for message in stale:
+        print(message, file=sys.stderr)
+    if stale:
+        return 2
+    if argv == ["--check"]:
+        print(f"{len(MUTANTS)} mutants apply")
+        return 0
+    if argv:
+        print("usage: python tests/mutants.py [--check]", file=sys.stderr)
+        return 2
     killed, bad_survivors = 0, []
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -116,9 +213,6 @@ def main() -> int:
         for name, path, old, new, reason in MUTANTS:
             target = copy / path
             source = target.read_text()
-            if source.count(old) != 1:
-                print(f"stale mutant {name}: {old!r} is not in {path} once", file=sys.stderr)
-                return 2
             target.write_text(source.replace(old, new))
             try:
                 was_killed, seconds = _run(copy)
@@ -138,4 +232,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

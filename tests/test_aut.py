@@ -124,6 +124,7 @@ class TestEnumerateFamily:
         for n in (1, 2, 3, 6, 12):
             t = validate_triple(1, n, 1)
             assert len(aut.enumerate_family(t, "all")) == euler_phi(n)
+        assert list(aut.valid_ys(validate_triple(1, 1, 1))) == [0]
 
     def test_unknown_family_rejected(self, zm_5_16_2):
         with pytest.raises(ValueError):
@@ -142,6 +143,9 @@ class TestEnumerateFamily:
             assert set(aut.enumerate_family(t, "inner")) <= fam
             assert set(aut.enumerate_family(t, "central")) <= fam
             assert set(aut.enumerate_family(t, "ia")) <= fam
+            for family in aut.FAMILIES:
+                members = aut.enumerate_family(t, family)
+                assert members == sorted(members)
 
     def test_conjugation_by_generators(self, zm_5_16_2):
         t = zm_5_16_2

@@ -376,6 +376,52 @@ class TestOracleCheck:
         assert doc["aut_bruteforce"] == 42 and doc["aut_sets_match"] is True
         assert doc["agree"] is False
 
+    # the fields of the JSON document that each broken engine changes
+    CLAUSE_CHANGES = {
+        "bruteforce-count": {"aut_bruteforce": 81},
+        "permutation-sets": {"aut_sets_match": False},
+        "bruteforce-l": {"l_bruteforce": 80},
+        "oracle-verdict": {},
+    }
+
+    @pytest.mark.parametrize("clause", list(CLAUSE_CHANGES))
+    def test_each_clause_of_the_verdict_bites(self, capsys, monkeypatch, clause):
+        # each patch breaks one engine so that exactly one clause of the
+        # verdict fails on ZM(5,16,2), |Aut| = 80, |L| = 4
+        _, clean, _ = run(capsys, "oracle-check", "5", "16", "2", "--json")
+        assert json.loads(clean)["agree"] is True
+        t = zm.validate_triple(5, 16, 2)
+        if clause == "bruteforce-count":
+            real_perms = genericgroup.automorphisms_bruteforce
+            monkeypatch.setattr(
+                genericgroup,
+                "automorphisms_bruteforce",
+                lambda group: (perms := real_perms(group)) + perms[:1],
+            )
+        elif clause == "permutation-sets":
+            first, second = aut.enumerate_family(t, "all")[:2]
+            real_perm = aut.to_permutation
+            monkeypatch.setattr(
+                aut,
+                "to_permutation",
+                lambda t, alpha: real_perm(t, second if alpha == first else alpha),
+            )
+        elif clause == "bruteforce-l":
+            monkeypatch.setattr(
+                genericgroup,
+                "fixed_subgroup",
+                lambda group, perms: genericgroup.Subgroup(group, tuple(range(group.order))),
+            )
+        else:
+            real_compare = abscenter.compare
+            monkeypatch.setattr(
+                abscenter, "compare", lambda t: dataclasses.replace(real_compare(t), agree=False)
+            )
+        code, out, _ = run(capsys, "oracle-check", "5", "16", "2", "--json")
+        assert code == 1
+        changed = self.CLAUSE_CHANGES[clause]
+        assert json.loads(out) == {**json.loads(clean), "agree": False, **changed}
+
 
 def run_any(capsys, argv):
     """Like `run`, but an argparse error gives its exit code too."""

@@ -85,8 +85,9 @@ def _cli_argvs() -> list[list[str]]:
         "5 16 2", "5 48 2", "7 6 2", "5 4 2", "7 9 2", "101 625 16", "1 5 1", "3 6 2",
     ]
     aut_triples = ["5 16 2", "7 6 2", "5 4 2", "1 5 1"]
-    # 11 25 4 is above the aut bound (brute force skipped), 7 6 2 disagrees.
-    oracle_triples = ["5 16 2", "7 6 2", "5 4 2", "7 9 2", "11 25 4"]
+    # 11 25 4 is above the aut bound (brute force skipped); 7 6 2 disagrees
+    # on |Aut| and on L, 7 15 2 on the |Aut| formula alone.
+    oracle_triples = ["5 16 2", "7 6 2", "5 4 2", "7 9 2", "11 25 4", "7 15 2"]
     argvs = [["abscenter", *t.split(), *f] for t in abscenter_triples for f in TEXT_AND_JSON]
     argvs += [["aut", *t.split(), "--count-only", *f] for t in aut_triples for f in TEXT_AND_JSON]
     argvs += [

@@ -211,11 +211,12 @@ class TestAssociativityCheck:
 
 class TestDirectProduct:
     def test_single_factor_is_identity_operation(self):
-        group = gg.cyclic_group(5)
-        assert gg.direct_product([group]) is group
+        for group in [*_reference_groups(), *(build() for build in NAMED_GROUPS.values())]:
+            assert gg.direct_product([group]).table == group.table
 
     def test_empty_product_is_trivial(self):
         assert gg.direct_product([]).order == 1
+        assert gg.direct_product([]).table == gg.cyclic_group(1).table
 
     def test_coprime_cyclic_product_is_cyclic(self):
         prod = gg.direct_product([gg.cyclic_group(3), gg.cyclic_group(4)])

@@ -263,7 +263,8 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(2, 5) == 4
         assert multiplicative_order(1, 7) == 1
         assert multiplicative_order(2, 7) == 3
-        assert multiplicative_order(10, 1) == 1
+        for r in (-3, 0, 1, 2, 10):
+            assert multiplicative_order(r, 1) == 1
 
     def test_rejects_non_units(self):
         with pytest.raises(ValueError):
