@@ -95,41 +95,6 @@ class RealiserCertificate:
         checked this presentation and proven ord_p(r) = q^alpha."""
         return [ZmTriple(f.p, f.q ** (2 * f.alpha), f.r % f.p, f.q_pow) for f in self.factors]
 
-    @classmethod
-    def from_json_dict(cls, doc: object) -> "RealiserCertificate":
-        """The certificate a JSON document describes, checked.  A missing
-        field, or a value of the wrong JSON type, is a CertificateError
-        that names the field, and so is a document that is no JSON object."""
-        if type(doc) is not dict:
-            raise CertificateError(f"certificate must be a JSON object, got {doc!r}")
-        schema = doc.get("schema")
-        if type(schema) is not int or schema != 1:
-            raise CertificateError(f"unsupported certificate schema: {schema!r}")
-        N = _field(doc, "N", int, "N")
-        witnesses = []
-        for i, f in enumerate(_field(doc, "factors", list, "factors")):
-            if type(f) is not dict:
-                raise CertificateError(
-                    f"certificate field factors[{i}] must be an object, got {f!r}"
-                )
-            fields = {k: _field(f, k, int, f"factors[{i}].{k}") for k in ("q", "alpha", "p", "r")}
-            witnesses.append(FactorWitness(**fields))
-        return cls(N=N, factors=tuple(witnesses))
-
-
-def _field(obj: dict, key: str, kind: type, name: str):
-    """obj[key], which must be present and of exactly type kind, so that a
-    JSON true or 2.0 is no integer; CertificateError naming the field
-    otherwise."""
-    if key not in obj:
-        raise CertificateError(f"certificate field {name} is missing")
-    value = obj[key]
-    if type(value) is not kind:
-        raise CertificateError(
-            f"certificate field {name} must be of type {kind.__name__}, got {value!r}"
-        )
-    return value
-
 
 def validate_certificate(
     cert: RealiserCertificate, decomposition: tuple[tuple[int, int], ...] | None = None
@@ -142,14 +107,14 @@ def validate_certificate(
     The factors must be the prime powers of N in ascending q;
     `decomposition` is `factorize(cert.N)` when the caller has just
     computed it (`realise` does); without it N is factored here, so a
-    loaded certificate is checked from scratch.  Each factor's presentation
-    ZM(p, q^(2 alpha), r) is checked without computing ord_p(r), which the
-    two modular powers before it have already proven to be q^alpha.  When
-    p < (q^alpha + 1)^2, which is t <= q^alpha + 1 for p = 1 + t*q^alpha,
-    those two powers also prove p prime by `pocklington_proves_prime`,
-    with r as the witness, at any size.  `is_prime` decides every p the
-    lemma does not prove, so a bad certificate is refused by the same test
-    with the same message.
+    certificate built from its fields alone is checked from scratch.
+    Each factor's presentation ZM(p, q^(2 alpha), r) is checked without
+    computing ord_p(r), which the two modular powers before it have
+    already proven to be q^alpha.  When p < (q^alpha + 1)^2, which is
+    t <= q^alpha + 1 for p = 1 + t*q^alpha, those two powers also prove p
+    prime by `pocklington_proves_prime`, with r as the witness, at any
+    size.  `is_prime` decides every p the lemma does not prove, so a bad
+    certificate is refused by the same test with the same message.
 
     The factor orders p * q^(2 alpha) are pairwise coprime once these
     checks pass, so no separate test is made.  Each q is a distinct prime

@@ -1,8 +1,8 @@
 """Group operations only the tests need: the identity automorphism,
 composing and inverting automorphism triples, powers, element orders and
-the derived subgroup of a ZM-group, the center of a Cayley table, and the
-divisors of an integer.  The package never calls them, so they live
-beside the tests.
+the derived subgroup of a ZM-group, the center of a Cayley table, the
+divisors of an integer, and the certificate a `realise --json` document
+describes.  The package never calls them, so they live beside the tests.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from zmcenter import aut
 from zmcenter.errors import AutParamError
 from zmcenter.genericgroup import CayleyGroup, Subgroup
 from zmcenter.numtheory import factorize, geometric_sum_mod
+from zmcenter.realiser import FactorWitness, RealiserCertificate
 from zmcenter.zm import ZmElement, ZmTriple
 
 
@@ -59,6 +60,13 @@ def divisors(n: int) -> list[int]:
     for p, a in factorize(n):
         divs = [d * p**k for d in divs for k in range(a + 1)]
     return sorted(divs)
+
+
+def certificate_from_document(doc: dict) -> RealiserCertificate:
+    """The certificate built from the fields of a `realise --json` document.
+    No decomposition is passed, so construction factors N itself and
+    proves every witness again."""
+    return RealiserCertificate(doc["N"], tuple(FactorWitness(**f) for f in doc["factors"]))
 
 
 def element_order(t: ZmTriple, g: ZmElement) -> int:

@@ -3,17 +3,22 @@
     python tests/mutants.py           # run every mutant
     python tests/mutants.py --check   # only check that every entry applies
 
-Each entry is one source edit: (name, path, old, new, reason).  Before it
-runs any mutant, the script checks every entry: an `old` that is not in
-its file exactly once is a stale entry and stops the script with exit 2.
-It then copies the checkout to a temporary directory once; for each entry it
-replaces the one occurrence of `old` in `path` by `new`, runs the tier-1
-command there with `-x -q`, and restores the file.  A mutant is killed
-when that run fails or hangs past TIMEOUT_S.  It prints killed or survived per mutant,
-then killed/total, and exits 1 if a mutant survives whose reason is
-None.  A reason marks a mutant as believed equivalent, no input telling
-it from the program, and says why.  With --check it stops after the
-entry check, with exit 0 when every entry applies.
+Each entry is one source edit: (name, path, old, new, reason), where path
+is `src/zmcenter/<stem>.py` and `tests/test_<stem>.py` is its own test
+file.  Before it runs any mutant, the script checks every entry: an `old`
+that is not in its file exactly once, or a missing own test file, is a
+stale entry and stops the script with exit 2.  It then copies the checkout
+to a temporary directory once; for each entry it replaces the one
+occurrence of `old` in `path` by `new`, runs the tier-1 command there with
+`-x -q` on the own test file and then, if that passes, on the whole suite,
+and restores the file.  A mutant is killed when either run fails or hangs
+past TIMEOUT_S; a run of a subset of tier-1 that fails means that tier-1
+fails too, so the verdicts are those of the whole suite alone.  It prints
+killed or survived per mutant, with the run that decided it, then
+killed/total, and exits 1 if a mutant survives whose reason is None.  A
+reason marks a mutant as believed equivalent, no input telling it from
+the program, and says why.  With --check it stops after the entry check,
+with exit 0 when every entry applies.
 
 Standard library only; pytest does not collect this file.
 """
@@ -152,6 +157,28 @@ MUTANTS = [
         "if False:",
         None,
     ),
+    # a certificate built from its fields alone is checked from scratch
+    (
+        "certificate-trusts-its-own-factors",
+        REALISER,
+        "decomposition = factorize(cert.N)",
+        "decomposition = tuple((f.q, f.alpha) for f in cert.factors)",
+        None,
+    ),
+    (
+        "certificate-admits-a-repeated-auxiliary-prime",
+        REALISER,
+        "if len(set(ps)) != len(ps):",
+        "if False:",
+        None,
+    ),
+    (
+        "certificate-admits-a-colliding-auxiliary-prime",
+        REALISER,
+        "if qs & set(ps):",
+        "if False:",
+        None,
+    ),
     (
         "compare-ignores-the-oracle-size",
         ABSCENTER,
@@ -166,30 +193,51 @@ def _copy_checkout(dest: pathlib.Path) -> None:
     shutil.copytree(
         ROOT,
         dest,
-        ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"),
+        ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"
+        ),
     )
 
 
-def _run(copy: pathlib.Path) -> tuple[bool, float]:
-    """(killed, seconds) for the tier-1 run in the copy."""
+def _own_tests(path: str) -> str:
+    """tests/test_<stem>.py for src/zmcenter/<stem>.py."""
+    return f"tests/test_{pathlib.PurePath(path).stem}.py"
+
+
+def _fails(copy: pathlib.Path, argv: list[str]) -> bool:
+    """Whether the run of argv in the copy fails or hangs past TIMEOUT_S."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-    start = time.perf_counter()
     try:
-        code = subprocess.run(
-            TIER1, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        return subprocess.run(
+            argv, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=TIMEOUT_S,
-        ).returncode
+        ).returncode != 0
     except subprocess.TimeoutExpired:
-        code = None
-    return code != 0, time.perf_counter() - start
+        return True
+
+
+def _run(copy: pathlib.Path, path: str) -> tuple[bool, str, float]:
+    """(killed, the run that decided it, seconds): the tier-1 command on
+    the mutated module's own test file, then on the whole suite only if
+    that file passes."""
+    start = time.perf_counter()
+    own = _own_tests(path)
+    if _fails(copy, TIER1 + [own]):
+        return True, own, time.perf_counter() - start
+    return _fails(copy, TIER1), "tier-1", time.perf_counter() - start
 
 
 def _stale_entries() -> list[str]:
-    """A message for each entry whose `old` is not in its file exactly once."""
+    """A message for each entry whose `old` is not in its file exactly once
+    or whose own test file is missing."""
     return [
         f"stale mutant {name}: {old!r} is not in {path} once"
         for name, path, old, _, _ in MUTANTS
         if (ROOT / path).read_text().count(old) != 1
+    ] + [
+        f"stale mutant {name}: {_own_tests(path)} is missing"
+        for name, path, _, _, _ in MUTANTS
+        if not (ROOT / _own_tests(path)).is_file()
     ]
 
 
@@ -215,13 +263,13 @@ def main(argv: list[str]) -> int:
             source = target.read_text()
             target.write_text(source.replace(old, new))
             try:
-                was_killed, seconds = _run(copy)
+                was_killed, by, seconds = _run(copy, path)
             finally:
                 target.write_text(source)
             killed += was_killed
             verdict = "killed" if was_killed else "survived"
             note = f"  equivalent: {reason}" if reason and not was_killed else ""
-            print(f"{verdict:8}  {name}  ({seconds:.1f} s){note}", flush=True)
+            print(f"{verdict:8}  {name}  ({by}, {seconds:.1f} s){note}", flush=True)
             if not was_killed and reason is None:
                 bad_survivors.append(name)
     print(f"killed {killed}/{len(MUTANTS)} in {time.perf_counter() - start:.0f} s")
