@@ -190,6 +190,50 @@ class TestCertificateValidation:
             assert again == cert
             assert schemas.certificate(again) == text
 
+    def test_json_schema_field(self):
+        # the document is the certificate's fields plus the schema number:
+        # N, and per factor exactly the fields of a FactorWitness
+        doc = json.loads(schemas.certificate(realiser.realise(12)))
+        assert doc["schema"] == 1
+        assert set(doc) == {"schema", "N", "factors"}
+        fields = {f.name for f in dataclasses.fields(realiser.FactorWitness)}
+        assert all(set(f) == fields for f in doc["factors"])
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            # N itself, then N against its factors in ascending q
+            (lambda d: d.update(N=0), CertificateError, "^N must be >= 1, got 0$"),
+            (lambda d: d.update(N=-12), CertificateError, "^N must be >= 1, got -12$"),
+            (lambda d: d.update(N=24), CertificateError, "do not match the decomposition"),
+            (lambda d: d.update(N=6), CertificateError, "do not match the decomposition"),
+            (lambda d: d["factors"].reverse(), CertificateError, "do not match the decomposition"),
+            (lambda d: d["factors"].pop(1), CertificateError, "do not match the decomposition"),
+            (lambda d: d["factors"][0].update(alpha=1), CertificateError, "do not match the"),
+            (lambda d: d["factors"][1].update(q=5), CertificateError, "do not match the"),
+            # the auxiliary primes among themselves and against the q
+            (lambda d: d["factors"][1].update(p=5), CertificateError, r"not distinct: \[5, 5\]"),
+            (lambda d: d["factors"][0].update(p=3), CertificateError, r"collide with \[3\]"),
+            # each factor's p and r
+            (lambda d: d["factors"][0].update(p=1), CertificateError, "^1 is not prime$"),
+            (lambda d: d["factors"][0].update(p=9), CertificateError, "^9 is not prime$"),
+            (lambda d: d["factors"][1].update(p=11), CertificateError, "^11 is not 1 mod 3$"),
+            (lambda d: d["factors"][0].update(r=4), CertificateError, "^order of 4 mod 5 is 2, "),
+            (lambda d: d["factors"][1].update(r=1), CertificateError, "^order of 1 mod 7 is 1, "),
+            (lambda d: d["factors"][1].update(r=14), CertificateError, "^14 is not a unit mod 7"),
+            (lambda d: d["factors"][0].update(r=-3), TripleError, r"need m, n, r >= 1"),
+        ],
+    )
+    def test_edited_document_is_refused_when_rebuilt(self, edit, error, message):
+        # every check of validate_certificate reaches a certificate rebuilt
+        # from the fields of an emitted document: one edited field is
+        # refused with the message of the check it breaks
+        doc = json.loads(schemas.certificate(realiser.realise(12)))
+        certificate_from_document(doc)
+        edit(doc)
+        with pytest.raises(error, match=message):
+            certificate_from_document(doc)
+
     @pytest.mark.parametrize(
         "N, mutation",
         [
