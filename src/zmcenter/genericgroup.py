@@ -345,17 +345,34 @@ def automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
        so it strictly enlarges <found> and at least doubles its order.  So
        2^|found| <= |Aut|.
 
-    A completion extends phi one generator at a time.  Invariant on
-    entering level k: `reached` is <g_1, ..., g_k-1>, phi is defined
-    exactly there, injective, and phi(x*g) = phi(x)*phi(g) for every x in
-    `reached` and every assigned g.  Giving g_k an image keeps those pairs
-    checked, so only the old elements are checked against g_k, and then
-    each newly reached element against every assigned generator: each
-    (element, generator) pair is checked once per node.  The new `reached`
-    is closed under right multiplication by g_1..g_k, so it is
-    <g_1, ..., g_k>.  At the last level it is the whole group, and the
-    checked pairs are enough: induction over words in the generators
-    extends phi(x*g) = phi(x)phi(g) to all pairs.
+    A completion extends phi one generator at a time.  On entering level
+    k, phi is an injective homomorphism on H = <g_1, ..., g_(k-1)> and
+    undefined elsewhere; let g = g_k and K = <H, g>.  `extend` walks from
+    g by right products with g_1, ..., g_k, checks every product it forms,
+    and goes on only from elements that get their image on the walk.
+    A. The walk reaches all of K outside H.  Products by g_1..g_(k-1)
+       fill each left coset yH != H, so it must reach every such coset in
+       the digraph Gamma with arcs yH -> yhgH (h in H), which is strongly
+       connected, as K is made of words h_1 g h_2 g ...  K acts on it
+       vertex-transitively, and H, the stabiliser of the vertex H,
+       permutes the out-neighbours hgH of H transitively.  Each source
+       component of Gamma - H is entered from H, so it holds some hgH.  A
+       sole source is fixed by H, so it holds gH and reaches every vertex.
+       Otherwise let D_i be what the source S_i reaches in Gamma - H,
+       with D_2 the largest and S_1 another source; each component of
+       Gamma - H lies in some D_i.  For x in S_1, H and D_2 lie in one
+       strong component of Gamma - x: no path from S_2 enters the source
+       S_1, and a shortest path from D_2 back to H starts outside S_1 and
+       so avoids it.  That component is larger than any of Gamma - H, yet
+       Gamma - x is isomorphic to Gamma - H.
+    B. The pairs (x, g), x in H, follow.  Let s >= 1 be least with g^s in
+       H; then x*g^t is outside H for 0 < t < s, so the walk checked
+       phi(x*g^s) = phi(x*g)*phi(g)^(s-1), and with x = 1,
+       phi(g^s) = phi(g)^s.  As x and g^s lie in H, phi(x*g^s) =
+       phi(x)*phi(g)^s, and cancelling gives phi(x*g) = phi(x)*phi(g).
+    So phi is injective on K and phi(x*h) = phi(x)*phi(h) for every x in
+    K and h in g_1..g_k; induction over words in them makes phi a
+    homomorphism on K, and at the last level K is the whole group.
     """
     n = group.order
     gens = group.generating_sequence
@@ -371,26 +388,12 @@ def automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
     for x, k in enumerate(orders):
         of_order.setdefault(k, []).append(x)
 
-    def extend(reached: list[int], level: int, fresh: list[int]) -> bool:
+    def extend(level: int, fresh: list[int]) -> bool:
         """Close phi under the generators up to gens[level], whose image
-        is set and which is the first entry of `fresh`; every element
+        is set and which is the only entry of `fresh`; every element
         given an image is appended to `fresh`, also on a clash."""
-        g = gens[level]
-        img = phi[g]
-        for x in reached:  # old elements: new generator only
-            z = table[x][g]
-            w = table[phi[x]][img]
-            if phi[z] < 0:
-                if used[w]:
-                    return False  # two preimages; not injective
-                phi[z] = w
-                used[w] = True
-                fresh.append(z)
-            elif phi[z] != w:
-                return False
         assigned = gens[: level + 1]
-        # new elements: every assigned generator; the loop also visits
-        # the elements it appends
+        # the loop also visits the elements it appends
         for x in fresh:
             row, image_row = table[x], table[phi[x]]
             for h in assigned:
@@ -398,7 +401,7 @@ def automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
                 w = image_row[phi[h]]
                 if phi[z] < 0:
                     if used[w]:
-                        return False
+                        return False  # two preimages; not injective
                     phi[z] = w
                     used[w] = True
                     fresh.append(z)
@@ -411,24 +414,24 @@ def automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
             used[phi[z]] = False
             phi[z] = -1
 
-    def attempt(level: int, reached: list[int], img: int) -> tuple[int, ...] | None:
+    def attempt(level: int, img: int) -> tuple[int, ...] | None:
         """One automorphism that extends phi by gens[level] -> img, or None."""
         g = gens[level]
         phi[g] = img
         used[img] = True
         fresh = [g]
         tau = None
-        if extend(reached, level, fresh):
-            tau = complete(level + 1, reached + fresh)
+        if extend(level, fresh):
+            tau = complete(level + 1)
         undo(fresh)
         return tau
 
-    def complete(level: int, reached: list[int]) -> tuple[int, ...] | None:
+    def complete(level: int) -> tuple[int, ...] | None:
         if level == len(gens):
             return tuple(phi)
         for img in of_order[orders[gens[level]]]:
             if not used[img]:
-                tau = attempt(level, reached, img)
+                tau = attempt(level, img)
                 if tau is not None:
                     return tau
         return None
@@ -437,26 +440,23 @@ def automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
     # <g_1, ..., g_k>; peeling the layers off from the deepest leaves phi
     # the identity on exactly the prefix each level needs
     layers = []
-    reached = [ident]
     for level, g in enumerate(gens):
         phi[g] = g
         used[g] = True
         fresh = [g]
-        extend(reached, level, fresh)
+        extend(level, fresh)
         layers.append(fresh)
-        reached += fresh
 
     found: list[tuple[int, ...]] = []
     moves = []  # x -> tau(x) for each tau in found
     for level in reversed(range(len(gens))):
         undo(layers[level])
-        reached = [ident, *(x for layer in layers[:level] for x in layer)]
         g = gens[level]
         skip = _reach({g}, moves)
         for img in of_order[orders[g]]:
             if img in skip or used[img]:
                 continue
-            tau = attempt(level, reached, img)
+            tau = attempt(level, img)
             if tau is None:
                 skip |= _reach({img}, moves)
             else:

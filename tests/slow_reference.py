@@ -35,8 +35,10 @@ geometric sum per u, `realiser.verify_forward` moved from one
 factors, `abscenter.compare` moved from `dataclasses.replace` and a
 second set for the span to one constructor call and a size-and-membership
 test, `CayleyGroup.closure` moved from its own breadth-first search to
-`_reach`, and `generating_sequence` moved from a `max` over the whole
-complement after every pick to one pass in order.  The tests check the
+`_reach`, `generating_sequence` moved from a `max` over the whole
+complement after every pick to one pass in order, and
+`automorphism_generators` moved from checking the old elements against
+each new generator to one walk from it.  The tests check the
 package against them; they are never used by the package itself.
 """
 
@@ -53,7 +55,7 @@ from zmcenter import abscenter, aut, realiser
 from zmcenter.aut import AutTriple
 from zmcenter.config import DEFAULT_BOUNDS
 from zmcenter.errors import BoundExceededError, CertificateError, SearchBudgetError
-from zmcenter.genericgroup import CayleyGroup, Subgroup, cyclic_group
+from zmcenter.genericgroup import CayleyGroup, Subgroup, _reach, cyclic_group
 from zmcenter.numtheory import (
     _MR_BASES,
     _PSI_12,
@@ -806,4 +808,130 @@ def reference_automorphisms_bruteforce(group: CayleyGroup) -> list[tuple[int, ..
     phi0[ident] = ident
     backtrack(0, phi0, {ident})
     found.sort()
+    return found
+
+
+def reference_automorphism_generators(group: CayleyGroup) -> list[tuple[int, ...]]:
+    """`genericgroup.automorphism_generators` with both loops of `extend`:
+    the same stabiliser-chain backtrack with orbit pruning, but each
+    candidate image of g_k is first checked on the old elements.
+
+    A completion extends phi one generator at a time.  Invariant on
+    entering level k: `reached` is <g_1, ..., g_k-1>, phi is defined
+    exactly there, injective, and phi(x*g) = phi(x)*phi(g) for every x in
+    `reached` and every assigned g.  Giving g_k an image keeps those pairs
+    checked, so only the old elements are checked against g_k, and then
+    each newly reached element against every assigned generator: each
+    (element, generator) pair is checked once per node.  The new `reached`
+    is closed under right multiplication by g_1..g_k, so it is
+    <g_1, ..., g_k>.  At the last level it is the whole group, and the
+    checked pairs are enough: induction over words in the generators
+    extends phi(x*g) = phi(x)phi(g) to all pairs.
+    """
+    n = group.order
+    gens = group.generating_sequence
+    orders = group.element_orders
+    table = group.table
+    ident = group.identity_index
+    phi = [-1] * n
+    phi[ident] = ident
+    used = [False] * n  # used[w]: w is already some phi(x)
+    used[ident] = True
+    # the candidate images of each order, in index order
+    of_order: dict[int, list[int]] = {}
+    for x, k in enumerate(orders):
+        of_order.setdefault(k, []).append(x)
+
+    def extend(reached: list[int], level: int, fresh: list[int]) -> bool:
+        """Close phi under the generators up to gens[level], whose image
+        is set and which is the first entry of `fresh`; every element
+        given an image is appended to `fresh`, also on a clash."""
+        g = gens[level]
+        img = phi[g]
+        for x in reached:  # old elements: new generator only
+            z = table[x][g]
+            w = table[phi[x]][img]
+            if phi[z] < 0:
+                if used[w]:
+                    return False  # two preimages; not injective
+                phi[z] = w
+                used[w] = True
+                fresh.append(z)
+            elif phi[z] != w:
+                return False
+        assigned = gens[: level + 1]
+        # new elements: every assigned generator; the loop also visits
+        # the elements it appends
+        for x in fresh:
+            row, image_row = table[x], table[phi[x]]
+            for h in assigned:
+                z = row[h]
+                w = image_row[phi[h]]
+                if phi[z] < 0:
+                    if used[w]:
+                        return False
+                    phi[z] = w
+                    used[w] = True
+                    fresh.append(z)
+                elif phi[z] != w:
+                    return False
+        return True
+
+    def undo(assigned: list[int]) -> None:
+        for z in assigned:
+            used[phi[z]] = False
+            phi[z] = -1
+
+    def attempt(level: int, reached: list[int], img: int) -> tuple[int, ...] | None:
+        """One automorphism that extends phi by gens[level] -> img, or None."""
+        g = gens[level]
+        phi[g] = img
+        used[img] = True
+        fresh = [g]
+        tau = None
+        if extend(reached, level, fresh):
+            tau = complete(level + 1, reached + fresh)
+        undo(fresh)
+        return tau
+
+    def complete(level: int, reached: list[int]) -> tuple[int, ...] | None:
+        if level == len(gens):
+            return tuple(phi)
+        for img in of_order[orders[gens[level]]]:
+            if not used[img]:
+                tau = attempt(level, reached, img)
+                if tau is not None:
+                    return tau
+        return None
+
+    # the identity, one level at a time: layers[k] is what g_k+1 adds to
+    # <g_1, ..., g_k>; peeling the layers off from the deepest leaves phi
+    # the identity on exactly the prefix each level needs
+    layers = []
+    reached = [ident]
+    for level, g in enumerate(gens):
+        phi[g] = g
+        used[g] = True
+        fresh = [g]
+        extend(reached, level, fresh)
+        layers.append(fresh)
+        reached += fresh
+
+    found: list[tuple[int, ...]] = []
+    moves = []  # x -> tau(x) for each tau in found
+    for level in reversed(range(len(gens))):
+        undo(layers[level])
+        reached = [ident, *(x for layer in layers[:level] for x in layer)]
+        g = gens[level]
+        skip = _reach({g}, moves)
+        for img in of_order[orders[g]]:
+            if img in skip or used[img]:
+                continue
+            tau = attempt(level, reached, img)
+            if tau is None:
+                skip |= _reach({img}, moves)
+            else:
+                found.append(tau)
+                moves.append(tau.__getitem__)
+                skip = _reach(skip, moves)
     return found

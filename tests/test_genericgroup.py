@@ -7,6 +7,7 @@ import pytest
 from group_helpers import NAMED_GROUPS, center_bruteforce, divisors, power
 from slow_reference import (
     reference_as_group,
+    reference_automorphism_generators,
     reference_automorphisms_bruteforce,
     reference_closure,
     reference_coset_subgroups,
@@ -606,6 +607,17 @@ class TestAutomorphismGenerators:
         pinned = "81374017eb6b4ea29bbba6460362335a45ba63f2b80efd6f1843372df237f547"
         assert digest.hexdigest() == pinned
 
+    @pytest.mark.parametrize(
+        "factors, count", [([(3, 4, 2), (5, 4, 4)], 176), ([(3, 4, 2), (5, 16, 2)], 352)]
+    )
+    def test_equal_to_the_search_that_checks_the_old_elements(self, factors, count):
+        # tables outside the pinned set, of order up to 240 and 960
+        group = gg.direct_product([validate_triple(*mnr).cayley() for mnr in factors])
+        tables = [s.as_group() for s in gg.subgroups(group)]
+        assert len(tables) == count
+        for table in tables:
+            assert gg.automorphism_generators(table) == reference_automorphism_generators(table)
+
     # the first tested tables outside the ZM family, whose automorphism
     # groups have another shape: where a wrong orbit skip would show
     @pytest.mark.parametrize(
@@ -622,6 +634,38 @@ class TestAutomorphismGenerators:
             assert gg.automorphisms_bruteforce(table) == reference
             fixed = tuple(i for i in range(table.order) if all(p[i] == i for p in reference))
             assert gg.absolute_center_bruteforce(table).members == fixed
+
+
+class TestWalkFromANewGenerator:
+    """Lemma A of `automorphism_generators`, by a walk of its own: from g
+    outside H = <gens>, right products by gens and g, never continued
+    through an element of H, reach exactly <H, g> \\ H."""
+
+    def test_every_subgroup_and_every_element_outside_it(self):
+        groups = [build() for build in NAMED_GROUPS.values()]
+        groups = [group for group in groups if group.order <= 60]
+        groups += [t.cayley() for t in iter_valid_triples(60)]
+        pairs = 0
+        for group in groups:
+            table = group.table
+            for sub in gg.subgroups(group):
+                inside = set(sub.members)
+                gens = [sub.members[i] for i in sub.as_group().generating_sequence]
+                for g in range(group.order):
+                    if g in inside:
+                        continue
+                    steps = gens + [g]
+                    reached = {g}
+                    queue = [g]
+                    for x in queue:
+                        for h in steps:
+                            z = table[x][h]
+                            if z not in inside and z not in reached:
+                                reached.add(z)
+                                queue.append(z)
+                    assert reached == group.closure(steps) - inside, (sub.members, g)
+                    pairs += 1
+        assert pairs == 48580  # 8241 of them in the named groups
 
 
 class TestAbsoluteCenterBruteforce:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -650,6 +651,19 @@ class TestVerifyConverse:
         (whole,) = [s for s in rows if not s.l_cyclic]
         assert (whole.order, whole.l_order, whole.embeds) == (240, 4, False)
         assert rows[-1] is whole
+
+    def test_c2_x_c4_product_scan(self):
+        # ZM(3,8,2) x ZM(5,16,2), of order 1920, has L = C_2 x C_4; the L
+        # of its subgroups are 1, C_2, C_4, C_2 x C_2 and C_2 x C_4, each
+        # type of subgroup of C_2 x C_4
+        group = genericgroup.direct_product(
+            [validate_triple(3, 8, 2).cayley(), validate_triple(5, 16, 2).cayley()]
+        )
+        rows = realiser._scan_subgroups(group, 8)
+        assert len(rows) == 668
+        kinds = collections.Counter((s.l_order, s.l_cyclic) for s in rows)
+        assert kinds == {(1, True): 27, (2, True): 594, (4, True): 42, (4, False): 4, (8, False): 1}
+        assert (rows[-1].order, rows[-1].l_order, rows[-1].l_cyclic) == (1920, 8, False)
 
     def test_scan_rows_of_a_product_are_unchanged(self, monkeypatch):
         # the 176 rows of ZM(3,4,2) x ZM(5,4,4), pinned by their digest,
